@@ -7,7 +7,6 @@ once it stabilizes. Batches, amplitude sweeps, and canned replication
 campaigns are deterministic functions of a single master seed.
 """
 
-from .backends import ENV_BACKEND, active_backend, available_backends
 from .config import (DEFAULT_INPUTS, RunConfig, SweepRange, config_from_dict,
                      config_to_dict, default_config, load_config,
                      serialize_config)
@@ -30,13 +29,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CONDITIONS_BBG2009", "Condition", "ConditionStats", "ConfigError",
-    "DEFAULT_INPUTS", "ENV_BACKEND", "FieldParams", "FieldState",
-    "GaussianInput", "IntegrationDivergedError", "KernelTable", "METHODS",
-    "PLOT_KINDS", "REPLICATIONS", "ReplicationResult", "RunConfig",
-    "SWEEP_COLUMNS", "SweepRange", "SweepResult", "Trajectory", "TrialResult",
-    "active_backend", "aggregate_trials", "available_backends",
-    "build_kernel", "compose_inputs", "config_from_dict", "config_to_dict",
-    "default_config", "draw_noise", "emit_sweep_csv", "emit_trajectory_csv",
+    "DEFAULT_INPUTS", "FieldParams", "FieldState", "GaussianInput",
+    "IntegrationDivergedError", "KernelTable", "METHODS", "PLOT_KINDS",
+    "REPLICATIONS", "ReplicationResult", "RunConfig", "SWEEP_COLUMNS",
+    "SweepRange", "SweepResult", "Trajectory", "TrialResult",
+    "aggregate_trials", "build_kernel", "compose_inputs", "config_from_dict",
+    "config_to_dict", "default_config", "draw_noise", "emit_sweep_csv", "emit_trajectory_csv",
     "evolve", "example_trajectory", "field_step", "gaussian_profile",
     "initial_state", "kernel_value", "lateral_input", "load_config",
     "readout_argmax", "readout_centroid", "readout_first_threshold",

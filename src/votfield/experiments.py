@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from . import backends
 from .config import RunConfig, SweepRange, default_config
@@ -170,23 +169,23 @@ def run_trials(config=None, condition=None, n_trials=None, master_seed=None, met
         noise3 = np.empty((len(chunk), params.n_steps, params.field_size))
         for j, seed in enumerate(chunk):
             noise3[j] = draw_noise(params, np.random.default_rng(seed))
-        finals, first_steps, first_poss, diverged = backends.evolve_batch(
+        run = backends.evolve_batch(
             u0, drive, kern.weights, params.tau, params.h, params.beta,
             params.dt, params.q, noise3)
         for j, seed in enumerate(chunk):
-            if diverged[j] >= 0:
-                raise IntegrationDivergedError(step=int(diverged[j]), seed=seed)
-            final = finals[j]
-            crossed = first_steps[j] >= 0
+            if run.diverged[j] >= 0:
+                raise IntegrationDivergedError(step=int(run.diverged[j]), seed=seed)
+            final = run.final[j]
+            crossed = run.first_step[j] >= 0
             if meth == "argmax":
                 vot = readout_argmax(final)
             elif meth == "centroid_above_threshold":
                 vot = readout_centroid(final)
             else:
-                vot = float(first_poss[j]) if crossed else None
+                vot = float(run.first_pos[j]) if crossed else None
             results.append(TrialResult(
                 vot_target=vot,
-                time_to_threshold=(int(first_steps[j]) if crossed else None),
+                time_to_threshold=(int(run.first_step[j]) if crossed else None),
                 stabilized=bool(np.any(final > 0.0)),
                 readout_method=meth,
                 seed=seed,
@@ -205,7 +204,10 @@ def aggregate_trials(trials, condition, p_target):
     sd = float(vots.std(ddof=1)) if n_used >= 2 else math.nan
     sem = sd / math.sqrt(n_used) if n_used >= 2 else math.nan
     if n_used >= 3 and vots.std() > 0:
-        skew = float(sp_stats.skew(vots, bias=False))
+        # adjusted Fisher-Pearson coefficient, in scipy.stats.skew's order of operations
+        dev = vots - vots.mean()
+        m2, m3 = np.mean(dev * dev), np.mean(dev * dev * dev)
+        skew = float(((n_used - 1.0) * n_used) ** 0.5 / (n_used - 2.0) * m3 / m2 ** 1.5)
     else:
         skew = math.nan
     ttts = [r.time_to_threshold for r in trials if r.time_to_threshold is not None]
@@ -272,7 +274,7 @@ def sweep_2d(config=None, a_mp_range=None, a_target_range=None, n_trials=None,
 
 def example_trajectory(config, condition, master_seed, trial_index=0):
     """Full trajectory of one batch trial (by default trial 0), bit-identical
-    to that trial inside run_trials under the same backend."""
+    to that trial inside run_trials."""
     cfg = default_config() if config is None else config
     params = cfg.field
     drive = compose_inputs(_condition_inputs(cfg, condition), params.field_size)

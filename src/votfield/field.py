@@ -17,7 +17,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter1d
 
 from . import backends
 from .errors import ConfigError, IntegrationDivergedError
@@ -131,10 +130,8 @@ def sigmoid_gate(u_val, beta):
     """
     if not beta > 0:
         raise ConfigError(f"beta must be > 0, got {beta}")
-    z = np.asarray(u_val, dtype=np.float64) * beta
-    if z.ndim == 0:
-        return float(backends.gate(z.reshape(1))[0])
-    return backends.gate(z)
+    g = backends.gate(np.asarray(u_val, dtype=np.float64) * beta)
+    return float(g) if g.ndim == 0 else g
 
 
 def kernel_value(d, params):
@@ -167,8 +164,7 @@ def lateral_input(state, kernel, beta):
         raise ConfigError(
             f"kernel table of length {kernel.weights.shape[0]} does not match "
             f"field_size {n} (expected {2 * n - 1})")
-    g = sigmoid_gate(state.u, beta)
-    return backends.lateral(g, kernel.weights)
+    return backends.convolver(kernel.weights)(sigmoid_gate(state.u, beta))
 
 
 def _check_vector(name, vec, n):
@@ -193,11 +189,11 @@ def field_step(state, inputs, kernel, params, noise):
             f"field_size {n} (expected {2 * n - 1})")
     inputs = _check_vector("inputs", inputs, n)
     noise = _check_vector("noise", noise, n)
-    un, ok = backends.step(state.u, inputs, kernel.weights, params.tau, params.h,
-                           params.beta, params.dt, params.q, noise)
-    if not ok:
+    run = backends.evolve_batch(state.u, inputs, kernel.weights, params.tau, params.h,
+                                params.beta, params.dt, params.q, noise[None, None])
+    if run.diverged[0] >= 0:
         raise IntegrationDivergedError(step=state.step + 1)
-    return FieldState(un, step=state.step + 1)
+    return FieldState(run.final[0], step=state.step + 1)
 
 
 def draw_noise(params, rng, n_steps=None):
@@ -214,6 +210,8 @@ def draw_noise(params, rng, n_steps=None):
         return np.zeros(shape)
     noise = rng.standard_normal(shape)
     if params.noise_smooth_sigma > 0:
+        from scipy.ndimage import gaussian_filter1d  # only here: scipy is slow to import
+
         noise = gaussian_filter1d(noise, params.noise_smooth_sigma, axis=1,
                                   mode="constant", cval=0.0)
     return noise
@@ -269,27 +267,14 @@ def evolve(initial, inputs, params, rng, *, keep_states=True, kernel=None):
     if kernel is None:
         kernel = build_kernel(params)
     noise = draw_noise(params, rng)
-    common = (initial.u, inputs, kernel.weights, params.tau, params.h,
-              params.beta, params.dt, params.q, noise)
-    if keep_states:
-        states, diverged = backends.evolve_states(*common)
-        if diverged >= 0:
-            raise IntegrationDivergedError(step=diverged)
-        max_u = states.max(axis=1)
-        n_above = np.count_nonzero(states > 0.0, axis=1).astype(np.int64)
-        crossed = n_above > 0
-        if crossed.any():
-            t0 = int(np.argmax(crossed))
-            first_step, first_pos = t0, int(np.argmax(states[t0] > 0.0))
-        else:
-            first_step = first_pos = None
-        return Trajectory(states=states, final=FieldState(states[-1], step=params.n_steps),
-                          max_u=max_u, n_above=n_above,
-                          first_cross_step=first_step, first_cross_pos=first_pos)
-    final_u, max_u, n_above, fs, fp, diverged = backends.evolve_summary(*common)
-    if diverged >= 0:
-        raise IntegrationDivergedError(step=diverged)
-    return Trajectory(states=None, final=FieldState(final_u, step=params.n_steps),
-                      max_u=max_u, n_above=n_above,
-                      first_cross_step=(fs if fs >= 0 else None),
-                      first_cross_pos=(fp if fp >= 0 else None))
+    run = backends.evolve_batch(initial.u, inputs, kernel.weights, params.tau, params.h,
+                                params.beta, params.dt, params.q, noise[None],
+                                keep_states=keep_states)
+    if run.diverged[0] >= 0:
+        raise IntegrationDivergedError(step=int(run.diverged[0]))
+    crossed = run.first_step[0] >= 0
+    return Trajectory(states=(run.states[0] if keep_states else None),
+                      final=FieldState(run.final[0], step=params.n_steps),
+                      max_u=run.max_u[0], n_above=run.n_above[0],
+                      first_cross_step=(int(run.first_step[0]) if crossed else None),
+                      first_cross_pos=(int(run.first_pos[0]) if crossed else None))

@@ -1,101 +1,64 @@
-"""Backend selection and numba/numpy agreement."""
+"""The evolution engine: batch invariance, divergence, and the FFT lateral term."""
 
-import os
-import subprocess
-import sys
+import dataclasses
 
 import numpy as np
 import pytest
 
-import votfield.backends as backends
-from votfield import (Condition, ConfigError, FieldParams, GaussianInput,
-                      active_backend, available_backends, compose_inputs,
-                      evolve, run_trials)
-from votfield.backends import ENV_BACKEND
-
-requires_numba = pytest.mark.skipif("numba" not in available_backends(),
-                                    reason="numba not importable here")
+from votfield import (FieldParams, FieldState, GaussianInput, build_kernel,
+                      compose_inputs, initial_state, lateral_input,
+                      sigmoid_gate)
+from votfield.backends import evolve_batch
 
 PARAMS = FieldParams()
 DRIVE = compose_inputs([GaussianInput(6.0, 70.0, 30.0, "target"),
                         GaussianInput(-3.0, 20.0, 30.0, "mp")], 200)
 
 
-def test_default_backend_resolution(monkeypatch):
-    monkeypatch.delenv(ENV_BACKEND, raising=False)
-    expected = "numba" if "numba" in available_backends() else "numpy"
-    assert active_backend() == expected
-    assert set(available_backends()) <= {"numba", "numpy"}
+def _run(noise3):
+    p = PARAMS
+    return evolve_batch(initial_state(p).u, DRIVE, build_kernel(p).weights, p.tau,
+                        p.h, p.beta, p.dt, p.q, noise3)
 
 
-def test_env_flag_selects_backend(monkeypatch):
-    monkeypatch.setenv(ENV_BACKEND, "numpy")
-    assert active_backend() == "numpy"
-    monkeypatch.setenv(ENV_BACKEND, " NumPy ")  # normalized
-    assert active_backend() == "numpy"
-    monkeypatch.setenv(ENV_BACKEND, "fortran")
-    with pytest.raises(ConfigError, match=ENV_BACKEND):
-        active_backend()
+def _rows(run, rows):
+    return [(run.final[k], run.max_u[k], run.n_above[k], run.first_step[k],
+             run.first_pos[k], run.diverged[k]) for k in rows]
 
 
-@requires_numba
-def test_gate_implementations_match():
-    z = np.linspace(-800.0, 800.0, 4001)
-    a = backends.gate(z)
-    b = np.array([backends._gate_nb(v) for v in z])
-    assert np.max(np.abs(a - b)) <= 1e-12
+def _assert_rows_equal(a, b):
+    for ra, rb in zip(a, b, strict=True):
+        for xa, xb in zip(ra, rb, strict=True):
+            assert np.array_equal(xa, xb, equal_nan=True)
 
 
-@requires_numba
-def test_lateral_kernels_agree():
-    rng = np.random.default_rng(0)
-    g = rng.uniform(0.0, 1.0, 200)
-    w = rng.standard_normal(399)
-    a = backends.lateral(g, w, backend="numba")
-    b = backends.lateral(g, w, backend="numpy")
-    assert np.max(np.abs(a - b)) <= 1e-9
+def test_rows_are_bitwise_equal_across_batch_sizes_and_offsets():
+    noise3 = np.random.default_rng(5).standard_normal((129, PARAMS.n_steps, 200))
+    noise3[40, 9, 100] = np.inf  # row 40 diverges; the others must not notice
+    full = _run(noise3[:128])
+    assert full.diverged[40] == 10
+    assert np.all(np.delete(full.diverged, 40) == -1)
+    assert (full.first_step >= 0).sum() > 64  # crossings are exercised too
+
+    for start in (0, 36, 121):  # B = 7 at different offsets
+        part = _run(noise3[start:start + 7])
+        _assert_rows_equal(_rows(part, range(7)), _rows(full, range(start, start + 7)))
+    for k in (0, 39, 40, 41, 127):  # B = 1
+        _assert_rows_equal(_rows(_run(noise3[k:k + 1]), [0]), _rows(full, [k]))
+    # a row keeps its bits when its neighbours change
+    shifted = _run(noise3[1:129])
+    _assert_rows_equal(_rows(shifted, range(127)), _rows(full, range(1, 128)))
 
 
-@requires_numba
-def test_backends_agree_on_full_trajectory(monkeypatch):
-    monkeypatch.setenv(ENV_BACKEND, "numba")
-    a = evolve(None, DRIVE, PARAMS, np.random.default_rng(3))
-    monkeypatch.setenv(ENV_BACKEND, "numpy")
-    b = evolve(None, DRIVE, PARAMS, np.random.default_rng(3))
-    assert np.max(np.abs(a.states - b.states)) <= 1e-9
-    assert a.first_cross_step == b.first_cross_step
-    assert a.first_cross_pos == b.first_cross_pos
-
-
-@requires_numba
-def test_backends_agree_on_batch_readouts(monkeypatch):
-    monkeypatch.setenv(ENV_BACKEND, "numba")
-    a = run_trials(condition=Condition(6.0, -3.0), n_trials=12, master_seed=4)
-    monkeypatch.setenv(ENV_BACKEND, "numpy")
-    b = run_trials(condition=Condition(6.0, -3.0), n_trials=12, master_seed=4)
-    assert [r.vot_target for r in a] == [r.vot_target for r in b]
-    assert [r.time_to_threshold for r in a] == [r.time_to_threshold for r in b]
-    worst = max(np.max(np.abs(ra.final_u - rb.final_u)) for ra, rb in zip(a, b))
-    assert worst <= 1e-9
-
-
-def test_each_available_backend_is_self_consistent(monkeypatch):
-    # lean summaries must equal the full-trajectory summaries bit for bit
-    for name in available_backends():
-        monkeypatch.setenv(ENV_BACKEND, name)
-        full = evolve(None, DRIVE, PARAMS, np.random.default_rng(8))
-        lean = evolve(None, DRIVE, PARAMS, np.random.default_rng(8),
-                      keep_states=False)
-        assert np.array_equal(full.final.u, lean.final.u), name
-        assert np.array_equal(full.max_u, lean.max_u), name
-
-
-def test_numba_disable_jit_env_forces_numpy_fallback():
-    env = dict(os.environ)
-    env.pop(ENV_BACKEND, None)
-    env["NUMBA_DISABLE_JIT"] = "1"
-    code = ("import votfield as vf; "
-            "print(vf.available_backends(), vf.active_backend())")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert "('numpy',) numpy" in out
+@pytest.mark.parametrize("n", [8, 63, 64, 200])
+def test_lateral_input_matches_direct_convolution(n):
+    # n = 8, 63, 64 and 200 give FFT lengths 15, 125, 128 and 400
+    params = dataclasses.replace(PARAMS, field_size=n)
+    kernel = build_kernel(params)
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        u = rng.uniform(-2.0, 2.0, n)
+        g = sigmoid_gate(u, params.beta)
+        ref = np.convolve(g, kernel.weights)[n - 1:2 * n - 1]
+        fast = lateral_input(FieldState(u), kernel, params.beta)
+        assert np.max(np.abs(fast - ref)) <= 1e-12

@@ -167,6 +167,16 @@ def assert_help_output(proc):
     assert "simulate" in proc.stdout and "replicate" in proc.stdout
 
 
+def run_fresh(*args):
+    """Run a fresh interpreter that imports the same votfield as this test."""
+    env = dict(os.environ)
+    package_root = str(Path(votfield.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True)
+
+
 def test_console_script_entry_point():
     # The declared console script, run in a fresh interpreter the way the
     # wrapper that pip generates for it runs it; no install step needed.
@@ -176,12 +186,19 @@ def test_console_script_entry_point():
     module, _, attr = scripts["votfield"].partition(":")
     code = (f"import sys; from {module} import {attr}; "
             f"sys.argv = ['votfield', '--help']; sys.exit({attr}())")
-    env = dict(os.environ)
-    package_root = str(Path(votfield.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p)
-    assert_help_output(subprocess.run([sys.executable, "-c", code], env=env,
-                                      capture_output=True, text=True))
+    assert_help_output(run_fresh("-c", code))
+
+
+def test_python_dash_m_runs_the_cli():
+    assert_help_output(run_fresh("-m", "votfield", "--help"))
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy costs about a second of start-up; only noise smoothing needs it
+    proc = run_fresh("-c", "import sys, votfield.cli; "
+                           "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.skipif(shutil.which("votfield") is None,

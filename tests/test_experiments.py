@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats as sp_stats
 
+from votfield import experiments
 from votfield import (CONDITIONS_BBG2009, Condition, ConfigError,
                       IntegrationDivergedError, TrialResult, aggregate_trials,
                       default_config, example_trajectory, readout_argmax,
@@ -39,6 +40,15 @@ def test_trial_prefix_independent_of_batch_size():
     for rf, rm in zip(few, many):
         assert rf.seed == rm.seed
         assert np.array_equal(rf.final_u, rm.final_u)  # per-trial noise streams
+
+
+def test_sweep_rows_independent_of_chunk_size(monkeypatch):
+    def rows(chunk):
+        monkeypatch.setattr(experiments, "_CHUNK", chunk)
+        res = sweep_1d(a_mp_range=(-3.0, 0.0, 3.0), n_trials=130, master_seed=2)
+        return [dataclasses.astuple(c) for c in res.cells]
+
+    assert rows(1) == rows(128)  # 130 chunks of one trial vs chunks of 128 and 2
 
 
 def test_recorded_seed_reproduces_trial_standalone():
