@@ -23,7 +23,7 @@ losslessly.
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -37,8 +37,7 @@ DEFAULT_INPUTS = (
 )
 
 _TOP_KEYS = ("field", "inputs", "sweep", "n_trials", "master_seed", "readout", "out_dir")
-_FIELD_KEYS = ("tau", "h", "beta", "c_exc", "c_inh", "c_glob", "sigma_exc", "sigma_inh",
-               "q", "field_size", "dt", "n_steps", "u_init", "noise_smooth_sigma")
+_FIELD_KEYS = tuple(f.name for f in fields(FieldParams))
 _INPUT_KEYS = ("label", "a", "p", "w")
 _RANGE_KEYS = ("lo", "hi", "step")
 
@@ -217,15 +216,8 @@ def load_config(path):
 
 def config_to_dict(cfg):
     """Fully resolved config as plain JSON-serializable data."""
-    f = cfg.field
     return {
-        "field": {
-            "tau": f.tau, "h": f.h, "beta": f.beta, "c_exc": f.c_exc,
-            "c_inh": f.c_inh, "c_glob": f.c_glob, "sigma_exc": f.sigma_exc,
-            "sigma_inh": f.sigma_inh, "q": f.q, "field_size": f.field_size,
-            "dt": f.dt, "n_steps": f.n_steps, "u_init": f.u_init,
-            "noise_smooth_sigma": f.noise_smooth_sigma,
-        },
+        "field": {key: getattr(cfg.field, key) for key in _FIELD_KEYS},
         "inputs": [
             {"label": i.label, "a": i.a, "p": i.p, "w": i.w} for i in cfg.inputs
         ],

@@ -62,11 +62,9 @@ def emit_trajectory_csv(traj, path, summary_path=None):
         summary_path = path.with_name(path.stem + "_summary" + path.suffix)
     summary_path = _open_csv(summary_path)
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("step", "x", "u"))
-        for t in range(len(traj)):
-            row_u = traj.states[t]
-            writer.writerows((t, x, repr(float(row_u[x]))) for x in range(row_u.shape[0]))
+        fh.write("step,x,u\n")
+        for t, row_u in enumerate(traj.states):
+            fh.write("".join([f"{t},{x},{u!r}\n" for x, u in enumerate(row_u.tolist())]))
     with summary_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("step", "max_u", "n_above_threshold"))
@@ -82,27 +80,33 @@ def _f(v):
     return f"{v:.2f}"
 
 
-def _hex(rgb):
-    return "#%02x%02x%02x" % tuple(int(round(c)) for c in rgb)
-
-
-def _blend(c0, c1, t):
-    return tuple(c0[i] + (c1[i] - c0[i]) * t for i in range(3))
-
-
 _BLUE = (42, 76, 170)
 _YELLOW = (238, 201, 21)
 _RED = (188, 36, 38)
 _WHITE = (255, 255, 255)
 
 
-def _diverging(v, vmax, pos_color, neg_color):
+def _diverging(values, vmax, pos_color, neg_color):
+    """Hex fill for each value: white at 0, blended linearly towards
+    `pos_color` at +vmax and `neg_color` at -vmax, clipped beyond.
+
+    Returns an array of '#rrggbb' strings shaped like `values`. Channels are
+    computed as white + (color - white) * |t| in float64 and rounded half to
+    even, so a fill depends only on its value, never on the array around it.
+    """
+    values = np.asarray(values, dtype=np.float64)
     if vmax <= 0:
-        return _hex(_WHITE)
-    t = max(-1.0, min(1.0, v / vmax))
-    if t >= 0:
-        return _hex(_blend(_WHITE, pos_color, t))
-    return _hex(_blend(_WHITE, neg_color, -t))
+        return np.full(values.shape, "#ffffff")
+    # fmin/fmax send NaN to +1 (full pos_color), as Python's min/max do
+    t = np.fmax(-1.0, np.fmin(1.0, values / vmax))
+    white = np.array(_WHITE, dtype=np.float64)
+    color = np.where((t >= 0)[..., None], np.array(pos_color, dtype=np.float64),
+                     np.array(neg_color, dtype=np.float64))
+    rgb = np.rint(white + (color - white) * np.abs(t)[..., None]).astype(np.int64)
+    packed = (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
+    keys, index = np.unique(packed, return_inverse=True)
+    table = np.array([f"#{k:06x}" for k in keys.tolist()])
+    return table[index.reshape(values.shape)]
 
 
 def _tick_step(span, target_ticks=8):
@@ -205,6 +209,14 @@ class _Axes:
             self.svg.text(self.l - 7, y + 3.5, fmt.format(v), size=10, anchor="end")
 
 
+def _colorbar(svg, x, y, height, vmax, pos_color, neg_color):
+    """Vertical strip of 40 swatches from +vmax (top) to -vmax."""
+    steps = 40
+    values = [vmax * (1 - 2 * k / (steps - 1)) for k in range(steps)]
+    for k, fill in enumerate(_diverging(values, vmax, pos_color, neg_color).tolist()):
+        svg.rect(x, y + k * height / steps, 14, height / steps + 0.05, fill)
+
+
 def _render_sweep_line(result, path):
     """mean_vot ± SEM against a_mp, reference line at the target center,
     highlighted conditions marked."""
@@ -258,12 +270,13 @@ def _render_heatmap(traj, path):
     svg.text(ax.l, 18, "field evolution (activation u; threshold at 0)", size=12)
     cw = ax.w / n_rows
     chh = ax.h / n
-    for t in range(n_rows):
-        col = states[t]
-        x = ax.l + t * cw
-        for i in range(n):
-            svg.rect(x, ax.t + (n - 1 - i) * chh, cw + 0.05, chh + 0.05,
-                     _diverging(col[i], vmax, _RED, _BLUE))
+    xs = [_f(ax.l + t * cw) for t in range(n_rows)]
+    ys = [_f(ax.t + (n - 1 - i) * chh) for i in range(n)]
+    size = f'width="{_f(cw + 0.05)}" height="{_f(chh + 0.05)}"'
+    # a generator: no row view of the fill array stays alive into svg.write
+    svg.parts.extend(f'<rect x="{x}" y="{y}" {size} fill="{c}"/>'
+                     for x, fills in zip(xs, _diverging(states, vmax, _RED, _BLUE))
+                     for y, c in zip(ys, fills.tolist()))
     ax.frame("time step", "VOT (ms)")
     ax.xticks(_ticks(0, n_rows - 1, max(1.0, _tick_step(n_rows, 6))))
     ax.yticks(_ticks(0, n, max(1.0, _tick_step(n, 8))))
@@ -271,11 +284,7 @@ def _render_heatmap(traj, path):
     cb_x = svg.width - 70
     cb_h = ax.h * 0.6
     cb_y = ax.t + (ax.h - cb_h) / 2
-    steps = 40
-    for k in range(steps):
-        v = vmax * (1 - 2 * k / (steps - 1))
-        svg.rect(cb_x, cb_y + k * cb_h / steps, 14, cb_h / steps + 0.05,
-                 _diverging(v, vmax, _RED, _BLUE))
+    _colorbar(svg, cb_x, cb_y, cb_h, vmax, _RED, _BLUE)
     svg.text(cb_x + 18, cb_y + 8, f"{vmax:.1f}", size=9)
     svg.text(cb_x + 18, cb_y + cb_h / 2 + 3, "0", size=9)
     svg.text(cb_x + 18, cb_y + cb_h, f"{-vmax:.1f}", size=9)
@@ -295,11 +304,11 @@ def _render_surface(result, path):
                        f"{result.p_target:g} ms)", size=12)
     cw = ax.w / len(xs)
     chh = ax.h / len(ys)
+    fills = _diverging([c.ch_ms for c in result.cells], vmax, _YELLOW, _BLUE).tolist()
     for r in range(len(ys)):
         for k in range(len(xs)):
-            c = result.cells[r * len(xs) + k]
             svg.rect(ax.l + k * cw, ax.t + (len(ys) - 1 - r) * chh, cw + 0.05, chh + 0.05,
-                     _diverging(c.ch_ms, vmax, _YELLOW, _BLUE))
+                     fills[r * len(xs) + k])
     ax.frame("competitor amplitude a_mp", "target amplitude a_target")
     for k, v in enumerate(xs):
         if float(v).is_integer():
@@ -315,11 +324,7 @@ def _render_surface(result, path):
     cb_x = svg.width - 100
     cb_h = ax.h * 0.7
     cb_y = ax.t + (ax.h - cb_h) / 2
-    steps = 40
-    for k in range(steps):
-        v = vmax * (1 - 2 * k / (steps - 1))
-        svg.rect(cb_x, cb_y + k * cb_h / steps, 14, cb_h / steps + 0.05,
-                 _diverging(v, vmax, _YELLOW, _BLUE))
+    _colorbar(svg, cb_x, cb_y, cb_h, vmax, _YELLOW, _BLUE)
     zero_y = cb_y + cb_h / 2
     svg.line(cb_x - 3, zero_y, cb_x + 17, zero_y)
     svg.text(cb_x + 20, cb_y + 8, f"+{vmax:.1f}", size=9)

@@ -2,12 +2,14 @@
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
 
 from votfield import (SWEEP_COLUMNS, Condition, ConditionStats, ConfigError,
-                      FieldParams, GaussianInput, SweepResult, compose_inputs,
+                      FieldParams, FieldState, GaussianInput, SweepResult,
+                      Trajectory, compose_inputs,
                       default_config, emit_sweep_csv, emit_trajectory_csv,
                       evolve, example_trajectory, render_plots, sweep_1d,
                       sweep_2d)
@@ -82,12 +84,11 @@ def test_trajectory_csv_long_format_and_summary(traj, tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "step,x,u"
     assert len(lines) == 1 + 121 * 200
-    step, x, u = lines[1].split(",")
-    assert (step, x) == ("0", "0")
-    assert float(u) == traj.states[0, 0]
-    step, x, u = lines[-1].split(",")
-    assert (step, x) == ("120", "199")
-    assert float(u) == traj.states[120, 199]
+    n = traj.states.shape[1]
+    for k, line in enumerate(lines[1:]):
+        step, x, u = line.split(",")
+        assert (int(step), int(x)) == divmod(k, n)
+        assert float(u) == traj.states[int(step), int(x)]  # repr round-trips floats
 
     slines = spath.read_text().splitlines()
     assert slines[0] == "step,max_u,n_above_threshold"
@@ -122,6 +123,80 @@ def test_svg_outputs_deterministic_and_wellformed(tiny_sweep, traj, tmp_path):
     h2 = render_plots(traj, "field_evolution_heatmap", tmp_path / "h2.svg").read_bytes()
     assert h1 == h2
     assert h1.decode().count("<rect") >= 121 * 200
+
+
+def _reference_fill(v, vmax, pos_color, neg_color):
+    """Per-value scalar form of the renderer's diverging colour map."""
+    if vmax <= 0:
+        return "#ffffff"
+    t = max(-1.0, min(1.0, v / vmax))
+    color, t = (pos_color, t) if t >= 0 else (neg_color, -t)
+    rgb = (255 + (c - 255) * t for c in color)
+    return "#%02x%02x%02x" % tuple(int(round(c)) for c in rgb)
+
+
+_RECT = re.compile(r'<rect x="([^"]+)" y="([^"]+)" width="([^"]+)" height="([^"]+)" '
+                   r'fill="([^"]+)"/>')
+_HEAT_RED = (188, 36, 38)
+_HEAT_BLUE = (42, 76, 170)
+
+
+def _states_trajectory(states):
+    states = np.asarray(states, dtype=np.float64)
+    return Trajectory(states=states, final=FieldState(states[-1], step=len(states) - 1),
+                      max_u=states.max(axis=1), n_above=(states > 0).sum(axis=1),
+                      first_cross_step=None, first_cross_pos=None)
+
+
+def _heatmap_cells(traj, tmp_path):
+    """(x, y, width, height, fill) of every heatmap cell rect, in file
+    order, after checking the background rect and the 40-swatch colorbar."""
+    text = render_plots(traj, "field_evolution_heatmap", tmp_path / "h.svg").read_text()
+    rects = _RECT.findall(text)
+    n_rows, n = traj.states.shape
+    assert len(rects) == 1 + n_rows * n + 40
+    assert rects[0] == ("0", "0", "700", "460", "#ffffff")
+    vmax = float(np.max(np.abs(traj.states)))
+    bar = [_reference_fill(vmax * (1 - 2 * k / 39), vmax, _HEAT_RED, _HEAT_BLUE)
+           for k in range(40)]
+    assert [r[4] for r in rects[-40:]] == bar
+    return rects[1:-40]
+
+
+def _expected_cells(states):
+    # plot box of the 700 x 460 heatmap: left 62, right 90, top 28, bottom 46
+    n_rows, n = states.shape
+    cw, chh = (700 - 62 - 90) / n_rows, (460 - 28 - 46) / n
+    vmax = float(np.max(np.abs(states)))
+    return [(f"{62 + t * cw:.2f}", f"{28 + (n - 1 - i) * chh:.2f}", f"{cw + 0.05:.2f}",
+             f"{chh + 0.05:.2f}",
+             _reference_fill(states[t, i], vmax, _HEAT_RED, _HEAT_BLUE))
+            for t in range(n_rows) for i in range(n)]
+
+
+def test_heatmap_cells_match_scalar_reference(traj, tmp_path):
+    assert _heatmap_cells(traj, tmp_path) == _expected_cells(traj.states)
+
+
+def test_heatmap_of_all_zero_field_is_white(tmp_path):
+    states = np.zeros((5, 7))
+    cells = _heatmap_cells(_states_trajectory(states), tmp_path)
+    assert cells == _expected_cells(states)
+    assert {c[4] for c in cells} == {"#ffffff"}
+
+
+def test_heatmap_extremes_and_half_channel_ties(tmp_path):
+    # vmax = 2; t = +-0.5 puts channels exactly on .5: 255 - 217 * 0.5 = 146.5
+    # (red's blue) and 255 - 213 * 0.5 = 148.5 (blue's red) round to even
+    states = np.array([[2.0, 1.0, 0.0, -1.0],
+                       [-2.0, 0.5, -0.5, 0.0],
+                       [3e-9, -3e-9, 1.0, -1.0]])
+    cells = _heatmap_cells(_states_trajectory(states), tmp_path)
+    assert cells == _expected_cells(states)
+    fills = np.array([c[4] for c in cells]).reshape(states.shape)
+    assert fills[0, 0] == "#bc2426" and fills[1, 0] == "#2a4caa"  # +-vmax: full colours
+    assert fills[0, 1] == "#de9292" and fills[0, 3] == "#94a6d4"
+    assert fills[0, 2] == fills[1, 3] == "#ffffff"
 
 
 def test_surface_svg_renders_grid_with_colorbar(tiny_grid, tmp_path):
