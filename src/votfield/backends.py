@@ -1,8 +1,9 @@
 """The field evolution engine: one NumPy loop that advances a batch of trials.
 
-Each Python-level step updates every row of a (B, n) chunk at once. No
+Each Python-level step updates every row of a (..., n) batch at once; a
+sweep passes a (cells, trials) tile whose rows share each trial's noise. No
 operation mixes rows and the lateral term is a per-row FFT of fixed length,
-so a trial's bits do not depend on its chunk's size or its place in it. A
+so a trial's bits do not depend on its batch's shape or its place in it. A
 dense ``g @ K`` product is avoided: BLAS rounds a row differently depending
 on the number of rows.
 """
@@ -13,16 +14,17 @@ import numpy as np
 
 
 class Evolution(NamedTuple):
-    """Per-row results of `evolve_batch`; a step or position is -1 when the
-    row never crossed threshold (first_*) or stayed finite (diverged)."""
+    """Per-row results of `evolve_batch`, with the batch's leading axes (...);
+    a step or position is -1 when the row never crossed threshold (first_*)
+    or stayed finite (diverged)."""
 
-    final: np.ndarray       # (B, n) last field
-    max_u: np.ndarray       # (B, T+1) max activation per step
-    n_above: np.ndarray     # (B, T+1) neurons with u > 0 per step
-    first_step: np.ndarray  # (B,) first step with some u > 0
-    first_pos: np.ndarray   # (B,) lowest such neuron at that step
-    diverged: np.ndarray    # (B,) first step whose field is not finite
-    states: np.ndarray | None  # (B, T+1, n) every field, if requested
+    final: np.ndarray       # (..., n) last field
+    max_u: np.ndarray       # (..., T+1) max activation per step
+    n_above: np.ndarray     # (..., T+1) neurons with u > 0 per step
+    first_step: np.ndarray  # (...) first step with some u > 0
+    first_pos: np.ndarray   # (...) lowest such neuron at that step
+    diverged: np.ndarray    # (...) first step whose field is not finite
+    states: np.ndarray | None  # (..., T+1, n) every field, if requested
 
 
 def gate(z):
@@ -61,40 +63,41 @@ def convolver(weights):
 
 
 def evolve_batch(u0, drive, weights, tau, h, beta, dt, q, noise3, keep_states=False):
-    """Euler-integrate B independent trials into an `Evolution`.
+    """Euler-integrate a batch of independent trials into an `Evolution`.
 
-    `noise3` is (B, T, n); `u0` and `drive` broadcast to (B, n). Each row takes
-    T steps of u += (dt/tau) * (-u + h + drive + lat(gate(beta*u)) + q*xi); a
-    row that stops being finite is flagged in `diverged` while the rest go on.
+    `noise3` is (..., T, n) with any leading batch shape; `u0` and `drive`
+    broadcast to (..., n). Each row takes T steps of
+    u += (dt/tau) * (-u + h + drive + lat(gate(beta*u)) + q*xi); a row that
+    stops being finite is flagged in `diverged` while the rest go on.
     """
     noise3 = np.asarray(noise3, dtype=np.float64)
-    b, n_steps, n = noise3.shape
+    lead, (n_steps, n) = noise3.shape[:-2], noise3.shape[-2:]
     drive = np.asarray(drive, dtype=np.float64)
     lat = convolver(weights)
     r = dt / tau
-    u = np.array(np.broadcast_to(np.asarray(u0, dtype=np.float64), (b, n)))
-    max_u = np.empty((b, n_steps + 1))
-    n_above = np.empty((b, n_steps + 1), np.int64)
-    first_step, first_pos, diverged = np.full((3, b), -1, np.int64)
-    states = np.empty((b, n_steps + 1, n)) if keep_states else None
+    u = np.array(np.broadcast_to(np.asarray(u0, dtype=np.float64), lead + (n,)))
+    max_u = np.empty(lead + (n_steps + 1,))
+    n_above = np.empty(lead + (n_steps + 1,), np.int64)
+    first_step, first_pos, diverged = np.full((3,) + lead, -1, np.int64)
+    states = np.empty(lead + (n_steps + 1, n)) if keep_states else None
 
     def record(t, u):
-        max_u[:, t] = u.max(axis=1)
+        max_u[..., t] = u.max(axis=-1)
         above = u > 0.0
-        n_above[:, t] = above.sum(axis=1)
-        new = (first_step < 0) & (n_above[:, t] > 0)
+        n_above[..., t] = above.sum(axis=-1)
+        new = (first_step < 0) & (n_above[..., t] > 0)
         if new.any():
             first_step[new] = t
-            first_pos[new] = np.argmax(above[new], axis=1)
+            first_pos[new] = np.argmax(above[new], axis=-1)
         if t:  # steps count updates, so the first one is 1
-            diverged[(diverged < 0) & ~np.isfinite(u).all(axis=1)] = t
+            diverged[(diverged < 0) & ~np.isfinite(u).all(axis=-1)] = t
         if states is not None:
-            states[:, t] = u
+            states[..., t, :] = u
 
     record(0, u)
     # rows that diverged go on as inf/nan without touching the others
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(n_steps):
-            u = u + r * (-u + h + drive + lat(gate(beta * u)) + q * noise3[:, t])
+            u = u + r * (-u + h + drive + lat(gate(beta * u)) + q * noise3[..., t, :])
             record(t + 1, u)
     return Evolution(u, max_u, n_above, first_step, first_pos, diverged, states)

@@ -4,8 +4,9 @@ A batch runs n independent trials of one (a_target, a_mp) condition; each
 trial's noise stream is seeded by a hash of (master_seed, trial_index) only,
 so results are bit-reproducible regardless of worker count, chunking, or
 execution order, and trial k of a batch is exactly reproducible on its own.
-Sweeps run a batch per grid cell and share trial streams across cells (common
-random numbers).
+Sweeps share trial streams across cells (common random numbers): each chunk
+of trials draws its noise once and runs every cell on it, as (cells, trials)
+tiles through the engine. A batch is the one-cell case of a sweep.
 """
 
 import math
@@ -16,8 +17,8 @@ import numpy as np
 from . import backends
 from .config import RunConfig, SweepRange, default_config
 from .errors import ConfigError, IntegrationDivergedError
-from .field import Trajectory, build_kernel, draw_noise, evolve, initial_state
-from .readout import METHODS, TrialResult, readout_argmax, readout_centroid
+from .field import build_kernel, draw_noise, evolve, initial_state
+from .readout import METHODS, readout_rows, row_result
 from .stimulus import compose_inputs
 
 # trials per kernel call; results do not depend on this
@@ -155,50 +156,79 @@ def _condition_inputs(cfg, condition):
     return tuple(inputs)
 
 
+def _run_cells(cfg, conditions, n, master, meth, keep_final=False):
+    """Run trials 0..n-1 of every condition in one pass over trial chunks.
+
+    Each chunk's seeds and noise are drawn once and shared by every cell
+    (common random numbers); groups of cells go through the engine as one
+    (cells, trials) tile of at most _CHUNK rows. Returns the trial seeds and
+    per-cell (C, n) arrays of `readout_rows`, plus (C, n, field_size) final
+    fields when `keep_final` is set.
+
+    Raises the IntegrationDivergedError of the first diverging cell in
+    condition order, at its first diverging trial.
+    """
+    params = cfg.field
+    drives = np.array([compose_inputs(_condition_inputs(cfg, c), params.field_size)
+                       for c in conditions])
+    kern = build_kernel(params)
+    u0 = initial_state(params).u
+    n_cells = len(conditions)
+    seeds = []
+    vot = np.empty((n_cells, n))
+    ttt = np.empty((n_cells, n), np.int64)
+    stab = np.empty((n_cells, n), bool)
+    final = np.empty((n_cells, n, params.field_size)) if keep_final else None
+    failed = {}  # cell -> (step, seed) of its first diverging trial
+    for start in range(0, n, _CHUNK):
+        live = min(failed, default=n_cells)  # later cells cannot be the one reported
+        if not live:
+            break
+        chunk = [trial_seed(master, i) for i in range(start, min(n, start + _CHUNK))]
+        seeds += chunk
+        k = len(chunk)
+        noise = np.empty((k, params.n_steps, params.field_size))
+        for j, seed in enumerate(chunk):
+            noise[j] = draw_noise(params, np.random.default_rng(seed))
+        group = max(1, _CHUNK // k)
+        for c0 in range(0, live, group):
+            cells = slice(c0, min(c0 + group, live))
+            # the tile is a view; naming it would keep this chunk's noise
+            # alive while the next chunk's is drawn
+            run = backends.evolve_batch(
+                u0, drives[cells, None], kern.weights, params.tau, params.h, params.beta,
+                params.dt, params.q, np.broadcast_to(noise, (cells.stop - c0,) + noise.shape))
+            for c, j in zip(*np.nonzero(run.diverged >= 0)):  # each cell's trials in order
+                failed.setdefault(c0 + c, (int(run.diverged[c, j]), chunk[j]))
+            if failed:
+                continue  # the run raises; nothing more is read out
+            rows = (cells, slice(start, start + k))
+            vot[rows], ttt[rows], stab[rows] = readout_rows(
+                run.final, run.first_step, run.first_pos, meth)
+            if keep_final:
+                final[rows] = run.final
+    if failed:
+        step, seed = failed[min(failed)]
+        raise IntegrationDivergedError(step=step, seed=seed)
+    return seeds, vot, ttt, stab, final
+
+
 def run_trials(config=None, condition=None, n_trials=None, master_seed=None, method=None):
     """Run one condition's batch and return every TrialResult, in trial order."""
     cfg, condition, n, master, meth = _resolved(config, condition, n_trials, master_seed, method)
-    params = cfg.field
-    drive = compose_inputs(_condition_inputs(cfg, condition), params.field_size)
-    kern = build_kernel(params)
-    u0 = initial_state(params).u
-    seeds = [trial_seed(master, i) for i in range(n)]
-    results = []
-    for start in range(0, n, _CHUNK):
-        chunk = seeds[start:start + _CHUNK]
-        noise3 = np.empty((len(chunk), params.n_steps, params.field_size))
-        for j, seed in enumerate(chunk):
-            noise3[j] = draw_noise(params, np.random.default_rng(seed))
-        run = backends.evolve_batch(
-            u0, drive, kern.weights, params.tau, params.h, params.beta,
-            params.dt, params.q, noise3)
-        for j, seed in enumerate(chunk):
-            if run.diverged[j] >= 0:
-                raise IntegrationDivergedError(step=int(run.diverged[j]), seed=seed)
-            final = run.final[j]
-            crossed = run.first_step[j] >= 0
-            if meth == "argmax":
-                vot = readout_argmax(final)
-            elif meth == "centroid_above_threshold":
-                vot = readout_centroid(final)
-            else:
-                vot = float(run.first_pos[j]) if crossed else None
-            results.append(TrialResult(
-                vot_target=vot,
-                time_to_threshold=(int(run.first_step[j]) if crossed else None),
-                stabilized=bool(np.any(final > 0.0)),
-                readout_method=meth,
-                seed=seed,
-                final_u=final,
-            ))
-    return results
+    seeds, vot, ttt, stab, final = _run_cells(cfg, [condition], n, master, meth,
+                                              keep_final=True)
+    return [row_result(vot[0, i], ttt[0, i], stab[0, i], meth, seed=seeds[i],
+                       final_u=final[0, i]) for i in range(n)]
 
 
-def aggregate_trials(trials, condition, p_target):
-    """Reduce a batch's TrialResults to ConditionStats."""
-    if not trials:
+def _aggregate(condition, vot, ttt, stab, p_target):
+    """ConditionStats of one cell from its per-trial readout arrays (vot NaN
+    and ttt -1 where absent)."""
+    n = len(vot)
+    if not n:
         raise ConfigError("cannot aggregate an empty batch")
-    vots = np.asarray([r.vot_target for r in trials if r.vot_target is not None], dtype=float)
+    vots = vot[~np.isnan(vot)]
     n_used = vots.size
     mean = float(vots.mean()) if n_used else math.nan
     sd = float(vots.std(ddof=1)) if n_used >= 2 else math.nan
@@ -210,26 +240,34 @@ def aggregate_trials(trials, condition, p_target):
         skew = float(((n_used - 1.0) * n_used) ** 0.5 / (n_used - 2.0) * m3 / m2 ** 1.5)
     else:
         skew = math.nan
-    ttts = [r.time_to_threshold for r in trials if r.time_to_threshold is not None]
+    ttts = ttt[ttt >= 0]
     return ConditionStats(
         condition=condition,
-        n_trials=len(trials),
+        n_trials=n,
         mean_vot=mean,
         sd_vot=sd,
         sem_vot=sem,
         skewness=skew,
         ch_ms=mean - p_target,
-        frac_stabilized=sum(r.stabilized for r in trials) / len(trials),
-        mean_time_to_threshold=(float(np.mean(ttts)) if ttts else None),
+        frac_stabilized=int(np.count_nonzero(stab)) / n,
+        mean_time_to_threshold=(float(np.mean(ttts)) if ttts.size else None),
     )
+
+
+def aggregate_trials(trials, condition, p_target):
+    """Reduce a batch's TrialResults to ConditionStats."""
+    vot = np.array([math.nan if r.vot_target is None else r.vot_target for r in trials],
+                   dtype=np.float64)
+    ttt = np.array([-1 if r.time_to_threshold is None else r.time_to_threshold
+                    for r in trials], dtype=np.int64)
+    return _aggregate(condition, vot, ttt, [r.stabilized for r in trials], p_target)
 
 
 def run_batch(config=None, condition=None, n_trials=None, master_seed=None, method=None):
     """Run one condition and aggregate: deterministic for fixed
     (condition, n_trials, master_seed) regardless of execution order."""
     cfg, condition, n, master, meth = _resolved(config, condition, n_trials, master_seed, method)
-    trials = run_trials(cfg, condition, n, master, meth)
-    return aggregate_trials(trials, condition, cfg.input_by_label("target").p)
+    return _cell_stats(cfg, [condition], n, master, meth)[0]
 
 
 def _as_range(rng_like):
@@ -239,15 +277,19 @@ def _as_range(rng_like):
     return SweepRange(lo, hi, step)
 
 
+def _cell_stats(cfg, conditions, n, master, meth):
+    _, vot, ttt, stab, _ = _run_cells(cfg, conditions, n, master, meth)
+    p_target = cfg.input_by_label("target").p
+    return [_aggregate(c, vot[i], ttt[i], stab[i], p_target)
+            for i, c in enumerate(conditions)]
+
+
 def _sweep(cfg, a_target_values, a_mp_values, n, master, meth):
-    cells = []
-    for a_t in a_target_values:
-        for a_mp in a_mp_values:
-            cells.append(run_batch(cfg, Condition(a_t, a_mp), n, master, meth))
+    conditions = [Condition(a_t, a_mp) for a_t in a_target_values for a_mp in a_mp_values]
     return SweepResult(
         a_target_values=tuple(a_target_values),
         a_mp_values=tuple(a_mp_values),
-        cells=tuple(cells),
+        cells=tuple(_cell_stats(cfg, conditions, n, master, meth)),
         master_seed=master,
         readout_method=meth,
         p_target=cfg.input_by_label("target").p,

@@ -196,13 +196,28 @@ def field_step(state, inputs, kernel, params, noise):
     return FieldState(run.final[0], step=state.step + 1)
 
 
+def _smoothing_weights(sigma, n):
+    """Normalised Gaussian taps of radius int(4*sigma + 0.5) (as
+    scipy.ndimage.gaussian_filter1d tabulates them), laid out as a
+    `backends.convolver` table of length 2n - 1; taps past the grid would
+    only meet the zero boundary and are dropped."""
+    radius = int(4.0 * sigma + 0.5)
+    x = np.arange(-radius, radius + 1)
+    taps = np.exp(-0.5 / (sigma * sigma) * x * x)
+    taps /= taps.sum()
+    keep = np.abs(x) < n
+    weights = np.zeros(2 * n - 1)
+    weights[x[keep] + n - 1] = taps[keep]
+    return weights
+
+
 def draw_noise(params, rng, n_steps=None):
     """Pre-draw the (n_steps, field_size) noise matrix for one trial.
 
     Row t is the noise injected on the step from state t to t+1. With
-    `noise_smooth_sigma` > 0 each row is smoothed along the field axis with a
-    zero-boundary Gaussian (this lowers the effective per-neuron variance).
-    `rng=None` gives a zero matrix (useful with q=0).
+    `noise_smooth_sigma` > 0 each row is convolved along the field axis with
+    a normalised Gaussian, zero outside the grid (this lowers the effective
+    per-neuron variance). `rng=None` gives a zero matrix (useful with q=0).
     """
     steps = params.n_steps if n_steps is None else int(n_steps)
     shape = (steps, params.field_size)
@@ -210,10 +225,8 @@ def draw_noise(params, rng, n_steps=None):
         return np.zeros(shape)
     noise = rng.standard_normal(shape)
     if params.noise_smooth_sigma > 0:
-        from scipy.ndimage import gaussian_filter1d  # only here: scipy is slow to import
-
-        noise = gaussian_filter1d(noise, params.noise_smooth_sigma, axis=1,
-                                  mode="constant", cval=0.0)
+        weights = _smoothing_weights(params.noise_smooth_sigma, params.field_size)
+        noise = backends.convolver(weights)(noise)
     return noise
 
 

@@ -84,6 +84,7 @@ _BLUE = (42, 76, 170)
 _YELLOW = (238, 201, 21)
 _RED = (188, 36, 38)
 _WHITE = (255, 255, 255)
+_NO_DATA = "#bdbdbd"  # grey: no value in the blue/white/yellow blends
 
 
 def _diverging(values, vmax, pos_color, neg_color):
@@ -165,7 +166,11 @@ class _Svg:
     def write(self, path):
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("\n".join(self.parts) + "\n</svg>\n", encoding="utf-8")
+        # in blocks of parts: one joined copy of a heatmap is megabytes
+        with path.open("w", encoding="utf-8") as fh:
+            for i in range(0, len(self.parts), 4096):
+                fh.write("\n".join(self.parts[i:i + 4096]) + "\n")
+            fh.write("</svg>\n")
         return path
 
 
@@ -294,17 +299,22 @@ def _render_heatmap(traj, path):
 
 def _render_surface(result, path):
     """ch_ms over the (a_mp, a_target) grid; yellow above the zero plane
-    (hyperarticulation), blue below (trace)."""
+    (hyperarticulation), blue below (trace), grey where ch_ms is NaN (no trial
+    gave a readout)."""
     xs = list(result.a_mp_values)
     ys = list(result.a_target_values)
     svg = _Svg(640, 420)
     ax = _Axes(svg, (0, len(xs)), (0, len(ys)), left=62, right=120, top=28, bottom=46)
-    vmax = max(1e-9, max(abs(c.ch_ms) for c in result.cells))
+    ch = np.array([c.ch_ms for c in result.cells], dtype=np.float64)
+    missing = np.isnan(ch)
+    vmax = max(1e-9, float(np.abs(ch[np.isfinite(ch)]).max(initial=0.0)))
     svg.text(ax.l, 18, f"ch_ms over the amplitude grid (zero plane = mean VOT at "
                        f"{result.p_target:g} ms)", size=12)
     cw = ax.w / len(xs)
     chh = ax.h / len(ys)
-    fills = _diverging([c.ch_ms for c in result.cells], vmax, _YELLOW, _BLUE).tolist()
+    fills = _diverging(ch, vmax, _YELLOW, _BLUE)
+    fills[missing] = _NO_DATA
+    fills = fills.tolist()
     for r in range(len(ys)):
         for k in range(len(xs)):
             svg.rect(ax.l + k * cw, ax.t + (len(ys) - 1 - r) * chh, cw + 0.05, chh + 0.05,
@@ -331,6 +341,9 @@ def _render_surface(result, path):
     svg.text(cb_x + 20, zero_y + 3, "0 (70 ms)", size=9)
     svg.text(cb_x + 20, cb_y + cb_h, f"-{vmax:.1f}", size=9)
     svg.text(cb_x + 7, cb_y - 8, "ch_ms", size=10, anchor="middle")
+    if missing.any():
+        svg.rect(cb_x, cb_y + cb_h + 14, 14, 10, _NO_DATA)
+        svg.text(cb_x + 20, cb_y + cb_h + 23, "no data", size=9)
     return svg.write(path)
 
 

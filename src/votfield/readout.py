@@ -7,6 +7,7 @@ field stabilized), and the first neuron to cross threshold (absent if none
 ever did). The interaction threshold is strictly u > 0.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +94,40 @@ def readout_first_threshold(trajectory):
     return None
 
 
+def readout_rows(final, first_step, first_pos, method):
+    """Read out many trials at once from per-row engine results (the `final`,
+    `first_step` and `first_pos` of an `Evolution`, any leading shape).
+
+    Returns (vot, time_to_threshold, stabilized) arrays shaped like
+    `first_step`; vot is NaN and time_to_threshold -1 where absent.
+    """
+    if method not in METHODS:
+        raise ConfigError(f"readout method must be one of {METHODS}, got {method!r}")
+    final = np.asarray(final, dtype=np.float64)
+    first_step = np.asarray(first_step)
+    if method == "argmax":
+        vot = np.argmax(final, axis=-1).astype(np.float64)
+    elif method == "centroid_above_threshold":
+        rows = final.reshape(-1, final.shape[-1])
+        vot = np.array([math.nan if c is None else c
+                        for c in map(readout_centroid, rows)]).reshape(first_step.shape)
+    else:
+        vot = np.where(first_step >= 0, first_pos, math.nan)
+    return vot, first_step, (final > 0.0).any(axis=-1)
+
+
+def row_result(vot, time_to_threshold, stabilized, method, seed=None, final_u=None):
+    """One trial's TrialResult from its entries in `readout_rows`' arrays."""
+    return TrialResult(
+        vot_target=(None if math.isnan(vot) else float(vot)),
+        time_to_threshold=(int(time_to_threshold) if time_to_threshold >= 0 else None),
+        stabilized=bool(stabilized),
+        readout_method=method,
+        seed=seed,
+        final_u=final_u,
+    )
+
+
 def trial_metrics(trajectory, method, seed=None):
     """Assemble a TrialResult under the chosen readout method.
 
@@ -100,25 +135,11 @@ def trial_metrics(trajectory, method, seed=None):
     method; methods that require stabilization yield vot_target=None on
     trials that never crossed (the result is still returned).
     """
-    if method not in METHODS:
-        raise ConfigError(f"readout method must be one of {METHODS}, got {method!r}")
     if isinstance(trajectory, Trajectory):
         final = trajectory.final
     else:
         final = trajectory[-1]
     u = _as_u(final)
-    first = readout_first_threshold(trajectory)
-    if method == "argmax":
-        vot = readout_argmax(final)
-    elif method == "centroid_above_threshold":
-        vot = readout_centroid(final)
-    else:
-        vot = first[0] if first is not None else None
-    return TrialResult(
-        vot_target=vot,
-        time_to_threshold=(int(first[1]) if first is not None else None),
-        stabilized=bool(np.any(u > 0.0)),
-        readout_method=method,
-        seed=seed,
-        final_u=u,
-    )
+    pos, step = readout_first_threshold(trajectory) or (-1, -1)
+    vot, ttt, stab = readout_rows(u, step, pos, method)
+    return row_result(vot, ttt, stab, method, seed=seed, final_u=u)

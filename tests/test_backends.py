@@ -62,3 +62,31 @@ def test_lateral_input_matches_direct_convolution(n):
         ref = np.convolve(g, kernel.weights)[n - 1:2 * n - 1]
         fast = lateral_input(FieldState(u), kernel, params.beta)
         assert np.max(np.abs(fast - ref)) <= 1e-12
+
+
+def test_cell_tile_rows_equal_flat_runs():
+    # a sweep tile: C cells (one drive each) x k trials sharing each trial's
+    # noise through a broadcast view, against flat (k,) runs of each cell
+    p = PARAMS
+    clean = np.random.default_rng(8).standard_normal((7, p.n_steps, 200))
+    noise = clean.copy()
+    noise[3, 20, 60] = np.inf  # trial 3 diverges in every cell, and alone
+    drives = np.array([compose_inputs([GaussianInput(a_t, 70.0, 30.0, "target"),
+                                       GaussianInput(a_mp, 20.0, 30.0, "mp")], 200)
+                       for a_t, a_mp in ((6.0, -6.0), (6.0, 0.0), (8.0, 3.0))])
+    weights = build_kernel(p).weights
+
+    def run(drive, noise3):
+        return evolve_batch(initial_state(p).u, drive, weights, p.tau, p.h, p.beta,
+                            p.dt, p.q, noise3)
+
+    tile = run(drives[:, None], np.broadcast_to(noise, (3,) + noise.shape))
+    assert tile.final.shape == (3, 7, 200) and tile.max_u.shape == (3, 7, p.n_steps + 1)
+    assert np.all(tile.diverged[:, 3] == 21)
+    assert np.all(np.delete(tile.diverged, 3, axis=1) == -1)
+    assert len({tuple(r) for r in tile.first_step.tolist()}) == 3  # cells do differ
+    others = [0, 1, 2, 4, 5, 6]
+    for c in range(3):
+        cell = type(tile)(*(None if f is None else f[c] for f in tile))
+        _assert_rows_equal(_rows(cell, others), _rows(run(drives[c], clean), others))
+        _assert_rows_equal(_rows(cell, [3]), _rows(run(drives[c], noise[3:4]), [0]))

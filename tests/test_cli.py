@@ -194,8 +194,12 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_cli_import_does_not_load_scipy():
-    # scipy costs about a second of start-up; only noise smoothing needs it
-    proc = run_fresh("-c", "import sys, votfield.cli; "
+    # scipy costs about a second of start-up and is not a runtime dependency,
+    # not even of the noise smoothing
+    proc = run_fresh("-c", "import sys, numpy, votfield.cli; "
+                           "from votfield import FieldParams, draw_noise; "
+                           "draw_noise(FieldParams(noise_smooth_sigma=2.0), "
+                           "numpy.random.default_rng(0)); "
                            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -9,9 +9,9 @@ from scipy import stats as sp_stats
 from votfield import experiments
 from votfield import (CONDITIONS_BBG2009, Condition, ConfigError,
                       IntegrationDivergedError, TrialResult, aggregate_trials,
-                      default_config, example_trajectory, readout_argmax,
-                      replicate_named, run_batch, run_trials, sweep_1d,
-                      sweep_2d, trial_metrics, trial_seed)
+                      default_config, draw_noise, example_trajectory,
+                      readout_argmax, replicate_named, run_batch, run_trials,
+                      sweep_1d, sweep_2d, trial_metrics, trial_seed)
 
 
 def test_trial_seed_is_a_stable_pure_function():
@@ -43,12 +43,24 @@ def test_trial_prefix_independent_of_batch_size():
 
 
 def test_sweep_rows_independent_of_chunk_size(monkeypatch):
-    def rows(chunk):
+    # Every sweep cell equals its own run_batch, whatever the (cells x trials)
+    # tiles. 130 trials come in chunks of 1, of 7 (the last of 4) or of 128
+    # (the last of 2, run as one 5-cell tile); 3 trials at _CHUNK 7 run as
+    # tiles of 2, 2 and 1 cells.
+    amps = (-6.0, -3.5, -1.0, 1.5, 4.0)
+
+    def cells(chunk, n):
         monkeypatch.setattr(experiments, "_CHUNK", chunk)
-        res = sweep_1d(a_mp_range=(-3.0, 0.0, 3.0), n_trials=130, master_seed=2)
+        res = sweep_1d(a_mp_range=(-6.0, 4.0, 2.5), n_trials=n, master_seed=2)
+        assert res.a_mp_values == amps
         return [dataclasses.astuple(c) for c in res.cells]
 
-    assert rows(1) == rows(128)  # 130 chunks of one trial vs chunks of 128 and 2
+    for n, chunks in ((130, (1, 7, 128)), (3, (7,))):
+        monkeypatch.setattr(experiments, "_CHUNK", 128)
+        ref = [dataclasses.astuple(run_batch(condition=Condition(6.0, a), n_trials=n,
+                                             master_seed=2)) for a in amps]
+        for chunk in chunks:
+            np.testing.assert_equal(cells(chunk, n), ref, err_msg=f"_CHUNK={chunk}")
 
 
 def test_recorded_seed_reproduces_trial_standalone():
@@ -200,6 +212,30 @@ def test_divergence_carries_the_failing_trial_seed():
     assert err.value.seed == trial_seed(1, 0)
     assert err.value.step == 1
     assert "seed" in str(err.value)
+
+
+def test_sweep_divergence_matches_cell_by_cell_order(monkeypatch):
+    # A 1e308 noise kick at step 0 overflows only where the drive is ~1e308
+    # too. In sweep order the cells are (6, 0): never; (6, 1e308): trial 5,
+    # in the second chunk of 4; (1e308, 0) and (1e308, 1e308): trial 1, in the
+    # first chunk. Run cell by cell, the sweep meets cell 1's trial 5 first.
+    kicks = {trial_seed(1, 1): 70, trial_seed(1, 5): 20}  # seed -> kicked neuron
+
+    def kicked_noise(params, rng):
+        noise = draw_noise(params, rng)
+        pos = kicks.get(rng.bit_generator.seed_seq.entropy)
+        if pos is not None:
+            noise[0, pos] = 1e308
+        return noise
+
+    monkeypatch.setattr(experiments, "draw_noise", kicked_noise)
+    monkeypatch.setattr(experiments, "_CHUNK", 4)
+    with pytest.raises(IntegrationDivergedError) as err:
+        experiments._sweep(default_config(), (6.0, 1e308), (0.0, 1e308), 10, 1, "argmax")
+    assert (err.value.step, err.value.seed) == (1, trial_seed(1, 5))
+    with pytest.raises(IntegrationDivergedError) as err:  # the first kick alone
+        experiments._sweep(default_config(), (1e308,), (0.0,), 10, 1, "argmax")
+    assert (err.value.step, err.value.seed) == (1, trial_seed(1, 1))
 
 
 def test_condition_requires_target_and_mp_labels():

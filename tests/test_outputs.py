@@ -205,6 +205,33 @@ def test_surface_svg_renders_grid_with_colorbar(tiny_grid, tmp_path):
     assert "ch_ms" in text and "a_target" in text
 
 
+def _surface_fills(ch, tmp_path):
+    """Fill of each cell of a 2 x 3 surface whose cells have these ch_ms
+    values (cell order), and the SVG text."""
+    a_mp, a_t = (-1.0, 0.0, 1.0), (5.0, 6.0)
+    conds = [Condition(t, m) for t in a_t for m in a_mp]
+    cells = tuple(ConditionStats(c, 2, 70.0 + v, math.nan, math.nan, math.nan, v, 1.0, None)
+                  for c, v in zip(conds, ch))
+    result = SweepResult(a_t, a_mp, cells, 1, "argmax", 70.0, default_config())
+    text = render_plots(result, "surface_2d", tmp_path / "s.svg").read_text()
+    return [r[4] for r in _RECT.findall(text)[1:7]], text
+
+
+def test_surface_draws_nan_cells_grey_and_scales_by_finite_cells(tmp_path):
+    yellow, blue, grey = (238, 201, 21), (42, 76, 170), "#bdbdbd"
+    ch = [1.0, -2.0, 0.5, 4.0, -4.0, 2.0]
+    full, text = _surface_fills(ch, tmp_path)
+    assert full == [_reference_fill(v, 4.0, yellow, blue) for v in ch]
+    assert grey not in full and "no data" not in text
+    for missing in ((0,), (2,), (0, 2)):  # the first cell, a middle one, both
+        held = [math.nan if i in missing else v for i, v in enumerate(ch)]
+        fills, text = _surface_fills(held, tmp_path)
+        # vmax still comes from the finite cells, so they keep their colours
+        assert fills == [grey if i in missing else f for i, f in enumerate(full)]
+        assert "+4.0" in text and "-4.0" in text
+        assert _RECT.findall(text)[-1][4] == grey and "no data" in text  # legend
+
+
 def test_heatmap_requires_states(lean_traj, tmp_path):
     with pytest.raises(ConfigError, match="keep_states"):
         render_plots(lean_traj, "field_evolution_heatmap", tmp_path / "x.svg")
