@@ -17,8 +17,8 @@ from .experiments import (CONDITIONS_BBG2009, REPLICATIONS, Condition,
                           replicate_named, run_batch, run_trials, sweep_1d,
                           sweep_2d, trial_seed)
 from .field import (FieldParams, FieldState, KernelTable, Trajectory,
-                    build_kernel, draw_noise, evolve, field_step,
-                    initial_state, kernel_value, lateral_input, sigmoid_gate)
+                    build_kernel, draw_noise, evolve, initial_state,
+                    kernel_value, lateral_input, sigmoid_gate)
 from .outputs import (PLOT_KINDS, SWEEP_COLUMNS, emit_sweep_csv,
                       emit_trajectory_csv, render_plots)
 from .readout import (METHODS, TrialResult, readout_argmax, readout_centroid,
@@ -35,7 +35,7 @@ __all__ = [
     "SweepRange", "SweepResult", "Trajectory", "TrialResult",
     "aggregate_trials", "build_kernel", "compose_inputs", "config_from_dict",
     "config_to_dict", "default_config", "draw_noise", "emit_sweep_csv", "emit_trajectory_csv",
-    "evolve", "example_trajectory", "field_step", "gaussian_profile",
+    "evolve", "example_trajectory", "gaussian_profile",
     "initial_state", "kernel_value", "lateral_input", "load_config",
     "readout_argmax", "readout_centroid", "readout_first_threshold",
     "render_plots", "replicate_named", "run_batch", "run_trials",

@@ -1,11 +1,15 @@
 """The field evolution engine: one NumPy loop that advances a batch of trials.
 
 Each Python-level step updates every row of a (..., n) batch at once; a
-sweep passes a (cells, trials) tile whose rows share each trial's noise. No
-operation mixes rows and the lateral term is a per-row FFT of fixed length,
-so a trial's bits do not depend on its batch's shape or its place in it. A
-dense ``g @ K`` product is avoided: BLAS rounds a row differently depending
-on the number of rows.
+sweep passes a (cells, trials) tile whose rows share each trial's noise. The
+gate and Euler update are elementwise and the lateral term is one dense
+product of the rows with a fixed n x n table, so a trial's bits do not depend
+on its batch's shape or its place in it as long as the BLAS matrix-matrix
+kernel sums each output row in an order that does not depend on the row
+count. OpenBLAS's did for every count tried from 2 to 512, at 1 or 2
+threads; NumPy sends a single row to the matrix-vector kernel instead, which
+rounds differently, so a single row is padded to two. tests/test_backends.py
+pins this on every host it runs on.
 """
 
 from typing import NamedTuple
@@ -33,31 +37,24 @@ def gate(z):
     return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(z, dtype=np.float64)))
 
 
-def _is_5_smooth(m):
-    for p in (2, 3, 5):
-        while m % p == 0:
-            m //= p
-    return m == 1
-
-
 def convolver(weights):
     """Return lat(g): lat(g)[..., i] = sum_j weights[i - j + n - 1] * g[..., j].
 
-    A zero-padded real FFT convolution along the last axis; the kernel
-    spectrum is computed once here. Any FFT length >= 2n - 1 keeps the output
-    slice [n - 1, 2n - 1) free of wrap-around. The smallest one with no prime
-    factor above 5 is used: 400 at n = 200, where 512 took twice as long.
+    A linear convolution with zero outside the grid, computed as the product
+    of the rows of g, reshaped to (-1, n), with the n x n Toeplitz table
+    K[j, i] = weights[i - j + n - 1], which is built once here. A one-row
+    batch is multiplied as two rows, so that NumPy never hands it to gemv.
     """
     w = np.asarray(weights, dtype=np.float64)
     n = (w.shape[0] + 1) // 2
-    size = 2 * n - 1
-    while not _is_5_smooth(size):
-        size += 1
-    spectrum = np.fft.rfft(w, size)
+    idx = np.arange(n)
+    table = w[idx[None, :] - idx[:, None] + n - 1]
 
     def lat(g):
-        full = np.fft.irfft(np.fft.rfft(g, size, axis=-1) * spectrum, size, axis=-1)
-        return full[..., n - 1:2 * n - 1]
+        rows = np.reshape(g, (-1, n))
+        if rows.shape[0] == 1:
+            return (np.concatenate((rows, rows)) @ table)[:1].reshape(np.shape(g))
+        return (rows @ table).reshape(np.shape(g))
 
     return lat
 

@@ -174,28 +174,6 @@ def _check_vector(name, vec, n):
     return vec
 
 
-def field_step(state, inputs, kernel, params, noise):
-    """Advance the field by one Euler step.
-
-    `inputs` is the precomputed external drive (sum of all input profiles);
-    `noise` is one standard-normal draw per neuron.
-    """
-    n = params.field_size
-    if state.u.shape[0] != n:
-        raise ConfigError(f"state has {state.u.shape[0]} neurons, params expect {n}")
-    if kernel.weights.shape[0] != 2 * n - 1:
-        raise ConfigError(
-            f"kernel table of length {kernel.weights.shape[0]} does not match "
-            f"field_size {n} (expected {2 * n - 1})")
-    inputs = _check_vector("inputs", inputs, n)
-    noise = _check_vector("noise", noise, n)
-    run = backends.evolve_batch(state.u, inputs, kernel.weights, params.tau, params.h,
-                                params.beta, params.dt, params.q, noise[None, None])
-    if run.diverged[0] >= 0:
-        raise IntegrationDivergedError(step=state.step + 1)
-    return FieldState(run.final[0], step=state.step + 1)
-
-
 def _smoothing_weights(sigma, n):
     """Normalised Gaussian taps of radius int(4*sigma + 0.5) (as
     scipy.ndimage.gaussian_filter1d tabulates them), laid out as a

@@ -338,7 +338,7 @@ def _render_surface(result, path):
     zero_y = cb_y + cb_h / 2
     svg.line(cb_x - 3, zero_y, cb_x + 17, zero_y)
     svg.text(cb_x + 20, cb_y + 8, f"+{vmax:.1f}", size=9)
-    svg.text(cb_x + 20, zero_y + 3, "0 (70 ms)", size=9)
+    svg.text(cb_x + 20, zero_y + 3, f"0 ({result.p_target:g} ms)", size=9)
     svg.text(cb_x + 20, cb_y + cb_h, f"-{vmax:.1f}", size=9)
     svg.text(cb_x + 7, cb_y - 8, "ch_ms", size=10, anchor="middle")
     if missing.any():

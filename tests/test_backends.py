@@ -1,13 +1,24 @@
-"""The evolution engine: batch invariance, divergence, and the FFT lateral term."""
+"""The evolution engine: batch invariance, divergence, and the dense lateral term.
+
+The lateral term is one BLAS matrix product per step, so a row's bits stay
+the same across batch sizes, positions and thread counts only because the
+BLAS kernel sums each row in a fixed order. These tests pin that on the host
+they run on.
+"""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import votfield
 from votfield import (FieldParams, FieldState, GaussianInput, build_kernel,
-                      compose_inputs, initial_state, lateral_input,
-                      sigmoid_gate)
+                      compose_inputs, initial_state, kernel_value,
+                      lateral_input, sigmoid_gate)
 from votfield.backends import evolve_batch
 
 PARAMS = FieldParams()
@@ -50,9 +61,56 @@ def test_rows_are_bitwise_equal_across_batch_sizes_and_offsets():
     _assert_rows_equal(_rows(shifted, range(127)), _rows(full, range(1, 128)))
 
 
+def test_row_bits_do_not_depend_on_batch_size_or_position():
+    # M = 1 is padded to two rows to keep it off gemv; M >= 2 relies on the
+    # matrix-matrix kernel summing every row in the same order
+    noise3 = np.random.default_rng(6).standard_normal((257, PARAMS.n_steps, 200))
+    r = 128  # the row under test, at position p of a batch of M rows
+    ref = _rows(_run(noise3[:129]), [r])
+    for m in (1, 2, 7, 128, 129):
+        for p in sorted({0, m // 2, m - 1}):
+            run = _run(noise3[r - p:r - p + m])
+            _assert_rows_equal(_rows(run, [p]), ref)
+
+
+_THREAD_RUN = """
+import sys
+import numpy as np
+from votfield import FieldParams, GaussianInput, build_kernel, compose_inputs, initial_state
+from votfield.backends import evolve_batch
+
+p = FieldParams()
+drive = compose_inputs([GaussianInput(6.0, 70.0, 30.0, "target"),
+                        GaussianInput(-3.0, 20.0, 30.0, "mp")], 200)
+noise3 = np.random.default_rng(12).standard_normal((128, p.n_steps, 200))
+run = evolve_batch(initial_state(p).u, drive, build_kernel(p).weights, p.tau, p.h,
+                   p.beta, p.dt, p.q, noise3)
+with open(sys.argv[1], "wb") as out:
+    for field in (run.final, run.max_u, run.n_above, run.first_step, run.first_pos):
+        out.write(field.tobytes())
+"""
+
+
+def test_batch_bits_do_not_depend_on_blas_thread_count(tmp_path):
+    env = dict(os.environ)
+    package_root = str(Path(votfield.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    outputs = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"threads{threads}.bin"
+        env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", _THREAD_RUN, str(path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(path.read_bytes())
+    assert len(outputs[0]) == 128 * (200 + 2 * (PARAMS.n_steps + 1) + 2) * 8
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("n", [8, 63, 64, 200])
 def test_lateral_input_matches_direct_convolution(n):
-    # n = 8, 63, 64 and 200 give FFT lengths 15, 125, 128 and 400
+    # a tiny, an odd, a power-of-two and the default grid size
     params = dataclasses.replace(PARAMS, field_size=n)
     kernel = build_kernel(params)
     rng = np.random.default_rng(n)
@@ -62,6 +120,24 @@ def test_lateral_input_matches_direct_convolution(n):
         ref = np.convolve(g, kernel.weights)[n - 1:2 * n - 1]
         fast = lateral_input(FieldState(u), kernel, params.beta)
         assert np.max(np.abs(fast - ref)) <= 1e-12
+
+
+def test_one_step_matches_hand_computed_update():
+    # T = 1 on an 8-neuron grid, written out neuron by neuron; the field
+    # starts off rest so that the lateral term is not negligible
+    p = dataclasses.replace(PARAMS, field_size=8)
+    u0 = np.linspace(-2.0, 1.5, 8)
+    drive = np.linspace(0.0, 3.5, 8)
+    noise = np.linspace(-1.0, 1.0, 8)
+    run = evolve_batch(u0, drive, build_kernel(p).weights, p.tau, p.h, p.beta, p.dt,
+                       p.q, noise[None, None])
+    g = sigmoid_gate(u0, p.beta)
+    for i in range(8):
+        lat = sum(kernel_value(float(i - j), p) * g[j] for j in range(8))
+        expect = u0[i] + (p.dt / p.tau) * (
+            -u0[i] + p.h + drive[i] + lat + p.q * noise[i])
+        assert run.final[0, i] == pytest.approx(expect, abs=1e-12)
+    assert run.diverged[0] == -1
 
 
 def test_cell_tile_rows_equal_flat_runs():

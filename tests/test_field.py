@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from votfield import (ConfigError, FieldParams, FieldState, GaussianInput,
                       IntegrationDivergedError, build_kernel, compose_inputs,
-                      draw_noise, evolve, field_step, initial_state,
-                      kernel_value, lateral_input, sigmoid_gate)
+                      draw_noise, evolve, initial_state, kernel_value,
+                      lateral_input, sigmoid_gate)
 
 PARAMS = FieldParams()
 NOISELESS = dataclasses.replace(PARAMS, q=0.0)
@@ -136,41 +136,6 @@ def test_lateral_input_rejects_mismatched_kernel():
         lateral_input(FieldState(np.zeros(200)), small, PARAMS.beta)
 
 
-def test_field_step_matches_hand_computed_update():
-    params = dataclasses.replace(PARAMS, field_size=8)
-    kernel = build_kernel(params)
-    state = initial_state(params)
-    drive = np.linspace(0.0, 3.5, 8)
-    noise = np.linspace(-1.0, 1.0, 8)
-    nxt = field_step(state, drive, kernel, params, noise)
-    g = sigmoid_gate(state.u, params.beta)
-    for i in range(8):
-        lat = sum(kernel_value(float(i - j), params) * g[j] for j in range(8))
-        expect = state.u[i] + (params.dt / params.tau) * (
-            -state.u[i] + params.h + drive[i] + lat + params.q * noise[i])
-        assert nxt.u[i] == pytest.approx(expect, abs=1e-12)
-    assert nxt.step == 1
-
-
-def test_field_step_size_checks_name_the_argument():
-    kernel = build_kernel(PARAMS)
-    state = initial_state(PARAMS)
-    with pytest.raises(ConfigError, match="inputs"):
-        field_step(state, np.zeros(7), kernel, PARAMS, np.zeros(200))
-    with pytest.raises(ConfigError, match="noise"):
-        field_step(state, np.zeros(200), kernel, PARAMS, np.zeros(7))
-
-
-def test_field_step_raises_on_nonfinite_with_step_index():
-    params = dataclasses.replace(PARAMS, field_size=8)
-    kernel = build_kernel(params)
-    with pytest.raises(IntegrationDivergedError) as err:
-        field_step(initial_state(params), np.full(8, np.inf), kernel, params,
-                   np.zeros(8))
-    assert err.value.step == 1
-    assert "step 1" in str(err.value)
-
-
 def test_evolve_raises_on_divergence_in_both_modes():
     params = dataclasses.replace(PARAMS, field_size=8, n_steps=10, q=0.0)
     drive = np.full(8, np.inf)
@@ -178,6 +143,7 @@ def test_evolve_raises_on_divergence_in_both_modes():
         with pytest.raises(IntegrationDivergedError) as err:
             evolve(None, drive, params, None, keep_states=not lean)
         assert err.value.step == 1
+        assert "step 1" in str(err.value)
 
 
 def test_resting_state_is_fixed_point_without_input_or_noise():
@@ -253,7 +219,7 @@ def test_draw_noise_shapes_and_reproducibility():
 
 
 def test_draw_noise_smoothing_matches_scipy_filter():
-    # scipy is the oracle; the FFT convolution agrees to rounding, within
+    # scipy is the oracle; the dense convolution agrees to rounding, within
     # 1e-12 absolute on unit-variance noise. At sigma 60 the kernel's radius
     # (240) reaches past the 200-neuron grid.
     from scipy.ndimage import gaussian_filter1d

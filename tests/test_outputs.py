@@ -9,7 +9,7 @@ import pytest
 
 from votfield import (SWEEP_COLUMNS, Condition, ConditionStats, ConfigError,
                       FieldParams, FieldState, GaussianInput, SweepResult,
-                      Trajectory, compose_inputs,
+                      Trajectory, compose_inputs, config_from_dict,
                       default_config, emit_sweep_csv, emit_trajectory_csv,
                       evolve, example_trajectory, render_plots, sweep_1d,
                       sweep_2d)
@@ -203,6 +203,17 @@ def test_surface_svg_renders_grid_with_colorbar(tiny_grid, tmp_path):
     text = render_plots(tiny_grid, "surface_2d", tmp_path / "g.svg").read_text()
     assert text.count("<rect") >= 6  # one cell per condition at least
     assert "ch_ms" in text and "a_target" in text
+
+
+def test_surface_colorbar_zero_label_follows_target_position(tmp_path):
+    cfg = config_from_dict({"inputs": [
+        {"label": "target", "a": 6.0, "p": 60.0, "w": 30.0},
+        {"label": "mp", "a": 0.0, "p": 20.0, "w": 30.0}]})
+    grid = sweep_2d(cfg, a_mp_range=(-1.0, 0.0, 1.0), a_target_range=(5.0, 6.0, 1.0),
+                    n_trials=2, master_seed=2)
+    text = render_plots(grid, "surface_2d", tmp_path / "g.svg").read_text()
+    assert "zero plane = mean VOT at 60 ms" in text
+    assert ">0 (60 ms)<" in text and "70 ms" not in text
 
 
 def _surface_fills(ch, tmp_path):
