@@ -13,16 +13,14 @@ from .config import (DEFAULT_INPUTS, RunConfig, SweepRange, config_from_dict,
 from .errors import ConfigError, IntegrationDivergedError
 from .experiments import (CONDITIONS_BBG2009, REPLICATIONS, Condition,
                           ConditionStats, ReplicationResult, SweepResult,
-                          aggregate_trials, example_trajectory,
-                          replicate_named, run_batch, run_trials, sweep_1d,
-                          sweep_2d, trial_seed)
+                          example_trajectory, replicate_named, run_batch,
+                          run_trials, sweep_1d, sweep_2d, trial_seed)
 from .field import (FieldParams, FieldState, KernelTable, Trajectory,
                     build_kernel, draw_noise, evolve, initial_state,
                     kernel_value, lateral_input, sigmoid_gate)
 from .outputs import (PLOT_KINDS, SWEEP_COLUMNS, emit_sweep_csv,
                       emit_trajectory_csv, render_plots)
-from .readout import (METHODS, TrialResult, readout_argmax, readout_centroid,
-                      readout_first_threshold, trial_metrics)
+from .readout import METHODS, TrialResult, readout_rows, trial_metrics
 from .stimulus import GaussianInput, compose_inputs, gaussian_profile
 
 __version__ = "0.1.0"
@@ -33,12 +31,11 @@ __all__ = [
     "IntegrationDivergedError", "KernelTable", "METHODS", "PLOT_KINDS",
     "REPLICATIONS", "ReplicationResult", "RunConfig", "SWEEP_COLUMNS",
     "SweepRange", "SweepResult", "Trajectory", "TrialResult",
-    "aggregate_trials", "build_kernel", "compose_inputs", "config_from_dict",
+    "build_kernel", "compose_inputs", "config_from_dict",
     "config_to_dict", "default_config", "draw_noise", "emit_sweep_csv", "emit_trajectory_csv",
     "evolve", "example_trajectory", "gaussian_profile",
     "initial_state", "kernel_value", "lateral_input", "load_config",
-    "readout_argmax", "readout_centroid", "readout_first_threshold",
-    "render_plots", "replicate_named", "run_batch", "run_trials",
+    "readout_rows", "render_plots", "replicate_named", "run_batch", "run_trials",
     "serialize_config", "sigmoid_gate", "sweep_1d", "sweep_2d", "trial_seed",
     "trial_metrics", "__version__",
 ]

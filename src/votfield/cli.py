@@ -16,8 +16,8 @@ from pathlib import Path
 
 from .config import default_config, load_config, serialize_config
 from .errors import ConfigError, IntegrationDivergedError
-from .experiments import (Condition, example_trajectory, replicate_named,
-                          run_batch, sweep_1d, sweep_2d, trial_seed, SweepResult)
+from .experiments import (_default_condition, _sweep, example_trajectory,
+                          replicate_named, sweep_1d, sweep_2d, trial_seed)
 from .outputs import emit_sweep_csv, emit_trajectory_csv, render_plots
 from .readout import METHODS, trial_metrics
 
@@ -98,9 +98,7 @@ def _print_stats(quiet, stats):
 
 
 def _cmd_simulate(args, cfg, out):
-    cond = Condition(a_target=cfg.input_by_label("target").a,
-                     a_mp=cfg.input_by_label("mp").a)
-    traj = example_trajectory(cfg, cond, cfg.master_seed, trial_index=0)
+    traj = example_trajectory(cfg, _default_condition(cfg), cfg.master_seed, trial_index=0)
     result = trial_metrics(traj, cfg.readout, seed=trial_seed(cfg.master_seed, 0))
     csv_path, summary_path = emit_trajectory_csv(traj, out / "trajectory.csv")
     svg_path = render_plots(traj, "field_evolution_heatmap", out / "trajectory.svg")
@@ -112,18 +110,11 @@ def _cmd_simulate(args, cfg, out):
     return 0
 
 
-def _wrap_single(stats, cfg):
-    return SweepResult(a_target_values=(stats.condition.a_target,),
-                       a_mp_values=(stats.condition.a_mp,),
-                       cells=(stats,), master_seed=cfg.master_seed,
-                       readout_method=cfg.readout,
-                       p_target=cfg.input_by_label("target").p, config=cfg)
-
-
 def _cmd_batch(args, cfg, out):
-    stats = run_batch(cfg)
-    _print_stats(args.quiet, stats)
-    path = emit_sweep_csv(_wrap_single(stats, cfg), out / "batch.csv")
+    cond = _default_condition(cfg)
+    result = _sweep(cfg, (cond.a_target,), (cond.a_mp,))
+    _print_stats(args.quiet, result.cells[0])
+    path = emit_sweep_csv(result, out / "batch.csv")
     _say(args.quiet, f"wrote {path}")
     return 0
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .field import FieldParams
+from .field import FieldParams, _is_number
 from .readout import METHODS
 from .stimulus import GaussianInput
 
@@ -43,13 +43,13 @@ _RANGE_KEYS = ("lo", "hi", "step")
 
 
 def _as_number(key, val):
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
+    if not _is_number(val):
         raise ConfigError(f"{key} must be a number, got {val!r}")
     return float(val)
 
 
 def _as_int(key, val):
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or not float(val).is_integer():
+    if not _is_number(val) or not float(val).is_integer():
         raise ConfigError(f"{key} must be an integer, got {val!r}")
     return int(val)
 

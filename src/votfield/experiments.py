@@ -17,8 +17,8 @@ import numpy as np
 from . import backends
 from .config import RunConfig, SweepRange, default_config
 from .errors import ConfigError, IntegrationDivergedError
-from .field import build_kernel, draw_noise, evolve, initial_state
-from .readout import METHODS, readout_rows, row_result
+from .field import _is_number, build_kernel, draw_noise, evolve, initial_state
+from .readout import readout_rows, row_result
 from .stimulus import compose_inputs
 
 # trials per kernel call; results do not depend on this
@@ -49,7 +49,7 @@ class Condition:
     def __post_init__(self):
         for key in ("a_target", "a_mp"):
             val = getattr(self, key)
-            if isinstance(val, bool) or not np.isfinite(val):
+            if not _is_number(val) or not np.isfinite(val):
                 raise ConfigError(f"{key} must be a finite number, got {val!r}")
             object.__setattr__(self, key, float(val))
 
@@ -126,19 +126,16 @@ def trial_seed(master_seed, trial_index):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _resolved(config, condition, n_trials, master_seed, method):
+def _resolved(config, n_trials, master_seed, method):
+    """The run's config with the given overrides applied; RunConfig checks
+    them as it checks a config file."""
     cfg = default_config() if config is None else config
-    if condition is None:
-        condition = Condition(a_target=cfg.input_by_label("target").a,
-                              a_mp=cfg.input_by_label("mp").a)
-    n = cfg.n_trials if n_trials is None else int(n_trials)
-    if n < 1:
-        raise ConfigError(f"n_trials must be >= 1, got {n}")
-    master = cfg.master_seed if master_seed is None else int(master_seed)
-    meth = cfg.readout if method is None else method
-    if meth not in METHODS:
-        raise ConfigError(f"readout method must be one of {METHODS}, got {meth!r}")
-    return cfg, condition, n, master, meth
+    overrides = {"n_trials": n_trials, "master_seed": master_seed, "readout": method}
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+
+
+def _default_condition(cfg):
+    return Condition(cfg.input_by_label("target").a, cfg.input_by_label("mp").a)
 
 
 def _condition_inputs(cfg, condition):
@@ -156,8 +153,9 @@ def _condition_inputs(cfg, condition):
     return tuple(inputs)
 
 
-def _run_cells(cfg, conditions, n, master, meth, keep_final=False):
-    """Run trials 0..n-1 of every condition in one pass over trial chunks.
+def _run_cells(cfg, conditions, keep_final=False):
+    """Run trials 0..n_trials-1 of every condition in one pass over trial
+    chunks.
 
     Each chunk's seeds and noise are drawn once and shared by every cell
     (common random numbers); groups of cells go through the engine as one
@@ -168,7 +166,7 @@ def _run_cells(cfg, conditions, n, master, meth, keep_final=False):
     Raises the IntegrationDivergedError of the first diverging cell in
     condition order, at its first diverging trial.
     """
-    params = cfg.field
+    params, n, master = cfg.field, cfg.n_trials, cfg.master_seed
     drives = np.array([compose_inputs(_condition_inputs(cfg, c), params.field_size)
                        for c in conditions])
     kern = build_kernel(params)
@@ -204,7 +202,7 @@ def _run_cells(cfg, conditions, n, master, meth, keep_final=False):
                 continue  # the run raises; nothing more is read out
             rows = (cells, slice(start, start + k))
             vot[rows], ttt[rows], stab[rows] = readout_rows(
-                run.final, run.first_step, run.first_pos, meth)
+                run.final, run.first_step, run.first_pos, cfg.readout)
             if keep_final:
                 final[rows] = run.final
     if failed:
@@ -215,19 +213,17 @@ def _run_cells(cfg, conditions, n, master, meth, keep_final=False):
 
 def run_trials(config=None, condition=None, n_trials=None, master_seed=None, method=None):
     """Run one condition's batch and return every TrialResult, in trial order."""
-    cfg, condition, n, master, meth = _resolved(config, condition, n_trials, master_seed, method)
-    seeds, vot, ttt, stab, final = _run_cells(cfg, [condition], n, master, meth,
-                                              keep_final=True)
-    return [row_result(vot[0, i], ttt[0, i], stab[0, i], meth, seed=seeds[i],
-                       final_u=final[0, i]) for i in range(n)]
+    cfg = _resolved(config, n_trials, master_seed, method)
+    condition = _default_condition(cfg) if condition is None else condition
+    seeds, vot, ttt, stab, final = _run_cells(cfg, [condition], keep_final=True)
+    return [row_result(vot[0, i], ttt[0, i], stab[0, i], cfg.readout, seed=seeds[i],
+                       final_u=final[0, i]) for i in range(cfg.n_trials)]
 
 
 def _aggregate(condition, vot, ttt, stab, p_target):
     """ConditionStats of one cell from its per-trial readout arrays (vot NaN
     and ttt -1 where absent)."""
     n = len(vot)
-    if not n:
-        raise ConfigError("cannot aggregate an empty batch")
     vots = vot[~np.isnan(vot)]
     n_used = vots.size
     mean = float(vots.mean()) if n_used else math.nan
@@ -254,20 +250,12 @@ def _aggregate(condition, vot, ttt, stab, p_target):
     )
 
 
-def aggregate_trials(trials, condition, p_target):
-    """Reduce a batch's TrialResults to ConditionStats."""
-    vot = np.array([math.nan if r.vot_target is None else r.vot_target for r in trials],
-                   dtype=np.float64)
-    ttt = np.array([-1 if r.time_to_threshold is None else r.time_to_threshold
-                    for r in trials], dtype=np.int64)
-    return _aggregate(condition, vot, ttt, [r.stabilized for r in trials], p_target)
-
-
 def run_batch(config=None, condition=None, n_trials=None, master_seed=None, method=None):
     """Run one condition and aggregate: deterministic for fixed
     (condition, n_trials, master_seed) regardless of execution order."""
-    cfg, condition, n, master, meth = _resolved(config, condition, n_trials, master_seed, method)
-    return _cell_stats(cfg, [condition], n, master, meth)[0]
+    cfg = _resolved(config, n_trials, master_seed, method)
+    condition = _default_condition(cfg) if condition is None else condition
+    return _sweep(cfg, (condition.a_target,), (condition.a_mp,)).cells[0]
 
 
 def _as_range(rng_like):
@@ -277,41 +265,37 @@ def _as_range(rng_like):
     return SweepRange(lo, hi, step)
 
 
-def _cell_stats(cfg, conditions, n, master, meth):
-    _, vot, ttt, stab, _ = _run_cells(cfg, conditions, n, master, meth)
-    p_target = cfg.input_by_label("target").p
-    return [_aggregate(c, vot[i], ttt[i], stab[i], p_target)
-            for i, c in enumerate(conditions)]
-
-
-def _sweep(cfg, a_target_values, a_mp_values, n, master, meth):
+def _sweep(cfg, a_target_values, a_mp_values):
+    """Run the (a_target x a_mp) grid under a resolved config."""
     conditions = [Condition(a_t, a_mp) for a_t in a_target_values for a_mp in a_mp_values]
+    _, vot, ttt, stab, _ = _run_cells(cfg, conditions)
+    p_target = cfg.input_by_label("target").p
     return SweepResult(
         a_target_values=tuple(a_target_values),
         a_mp_values=tuple(a_mp_values),
-        cells=tuple(_cell_stats(cfg, conditions, n, master, meth)),
-        master_seed=master,
-        readout_method=meth,
-        p_target=cfg.input_by_label("target").p,
+        cells=tuple(_aggregate(c, vot[i], ttt[i], stab[i], p_target)
+                    for i, c in enumerate(conditions)),
+        master_seed=cfg.master_seed,
+        readout_method=cfg.readout,
+        p_target=p_target,
         config=cfg,
     )
 
 
 def sweep_1d(config=None, a_mp_range=None, n_trials=None, master_seed=None, method=None):
     """Sweep the competitor amplitude at the config's target amplitude."""
-    cfg, _, n, master, meth = _resolved(config, Condition(0, 0), n_trials, master_seed, method)
+    cfg = _resolved(config, n_trials, master_seed, method)
     rng = cfg.sweep_a_mp if a_mp_range is None else _as_range(a_mp_range)
-    a_target = cfg.input_by_label("target").a
-    return _sweep(cfg, (a_target,), rng.values(), n, master, meth)
+    return _sweep(cfg, (cfg.input_by_label("target").a,), rng.values())
 
 
 def sweep_2d(config=None, a_mp_range=None, a_target_range=None, n_trials=None,
              master_seed=None, method=None):
     """Sweep competitor and target amplitudes jointly."""
-    cfg, _, n, master, meth = _resolved(config, Condition(0, 0), n_trials, master_seed, method)
+    cfg = _resolved(config, n_trials, master_seed, method)
     mp_rng = cfg.sweep_a_mp if a_mp_range is None else _as_range(a_mp_range)
     t_rng = cfg.sweep_a_target if a_target_range is None else _as_range(a_target_range)
-    return _sweep(cfg, t_rng.values(), mp_rng.values(), n, master, meth)
+    return _sweep(cfg, t_rng.values(), mp_rng.values())
 
 
 def example_trajectory(config, condition, master_seed, trial_index=0):
@@ -342,26 +326,24 @@ def replicate_named(name, master_seed=None, config=None, n_trials=None, method=N
     if canonical not in REPLICATIONS:
         raise ConfigError(f"unknown replication {name!r}; expected one of "
                           f"{', '.join(REPLICATIONS)} (or 'conditions')")
-    cfg, _, n, master, meth = _resolved(config, Condition(0, 0), n_trials, master_seed, method)
+    cfg = _resolved(config, n_trials, master_seed, method)
     a_target = cfg.input_by_label("target").a
 
     if canonical == "fig6":
-        sweep = _sweep(cfg, (a_target,), _FIG6_RANGE.values(), n, master, meth)
+        sweep = _sweep(cfg, (a_target,), _FIG6_RANGE.values())
         highlight = {f"amp{a:g}": a for a in _HIGHLIGHT_AMPS}
     elif canonical == "fig7":
         amps = tuple(sorted(_HIGHLIGHT_AMPS))
-        sweep = _sweep(cfg, (a_target,), amps, n, master, meth)
+        sweep = _sweep(cfg, (a_target,), amps)
         highlight = {f"amp{a:g}": a for a in _HIGHLIGHT_AMPS}
     elif canonical == "fig12":
-        sweep = _sweep(cfg, _FIG12_TARGET_RANGE.values(), _FIG12_MP_RANGE.values(),
-                       n, master, meth)
+        sweep = _sweep(cfg, _FIG12_TARGET_RANGE.values(), _FIG12_MP_RANGE.values())
         highlight = {}
     else:
         amps = tuple(sorted(set(CONDITIONS_BBG2009.values())))
-        sweep = _sweep(cfg, (a_target,), amps, n, master, meth)
+        sweep = _sweep(cfg, (a_target,), amps)
         highlight = dict(CONDITIONS_BBG2009)
 
-    trajectories = {}
-    for tag, a_mp in highlight.items():
-        trajectories[tag] = example_trajectory(cfg, Condition(a_target, a_mp), master)
+    trajectories = {tag: example_trajectory(cfg, Condition(a_target, a_mp), cfg.master_seed)
+                    for tag, a_mp in highlight.items()}
     return ReplicationResult(name=canonical, sweep=sweep, trajectories=trajectories)

@@ -94,16 +94,12 @@ class FieldParams:
 
 @dataclass(eq=False)
 class FieldState:
-    """Activation vector at one time step."""
+    """Activation vector of the field."""
 
     u: np.ndarray
-    step: int = 0
 
     def __post_init__(self):
         self.u = np.asarray(self.u, dtype=np.float64)
-        self.step = int(self.step)
-        if self.step < 0:
-            raise ConfigError(f"step must be >= 0, got {self.step}")
 
 
 @dataclass(eq=False)
@@ -112,15 +108,11 @@ class KernelTable:
 
     weights: np.ndarray
 
-    @property
-    def field_size(self):
-        return (self.weights.shape[0] + 1) // 2
-
 
 def initial_state(params):
     """Resting-state field: u(x, 0) = u_init (default: the resting level h)."""
     level = params.h if params.u_init is None else params.u_init
-    return FieldState(np.full(params.field_size, level, dtype=np.float64), step=0)
+    return FieldState(np.full(params.field_size, level, dtype=np.float64))
 
 
 def sigmoid_gate(u_val, beta):
@@ -189,7 +181,7 @@ def _smoothing_weights(sigma, n):
     return weights
 
 
-def draw_noise(params, rng, n_steps=None):
+def draw_noise(params, rng):
     """Pre-draw the (n_steps, field_size) noise matrix for one trial.
 
     Row t is the noise injected on the step from state t to t+1. With
@@ -197,8 +189,7 @@ def draw_noise(params, rng, n_steps=None):
     a normalised Gaussian, zero outside the grid (this lowers the effective
     per-neuron variance). `rng=None` gives a zero matrix (useful with q=0).
     """
-    steps = params.n_steps if n_steps is None else int(n_steps)
-    shape = (steps, params.field_size)
+    shape = (params.n_steps, params.field_size)
     if rng is None:
         return np.zeros(shape)
     noise = rng.standard_normal(shape)
@@ -212,10 +203,10 @@ def draw_noise(params, rng, n_steps=None):
 class Trajectory:
     """A completed run: per-step states (unless memory-lean) plus summaries.
 
-    Indexing gives FieldStates: traj[0] is the initial state, traj[-1] the
-    final one. `first_cross_step`/`first_cross_pos` give the first step and
-    lowest neuron index at which activation exceeded 0, or None if it never
-    did.
+    `states[t]` is the field after t steps (`states[0]` the initial one) and
+    `len()` counts them. `first_cross_step`/`first_cross_pos` give the first
+    step and lowest neuron index at which activation exceeded 0, or None if
+    it never did.
     """
 
     states: np.ndarray | None
@@ -228,19 +219,8 @@ class Trajectory:
     def __len__(self):
         return self.max_u.shape[0]
 
-    @property
-    def n_steps(self):
-        return len(self) - 1
 
-    def __getitem__(self, t):
-        if self.states is None:
-            raise ValueError("trajectory was run with keep_states=False; "
-                             "per-step states were not recorded")
-        t = range(len(self))[t]
-        return FieldState(self.states[t], step=t)
-
-
-def evolve(initial, inputs, params, rng, *, keep_states=True, kernel=None):
+def evolve(initial, inputs, params, rng, *, keep_states=True):
     """Run the integrator for params.n_steps steps from `initial`.
 
     `rng` is a seeded numpy Generator supplying the noise stream (or None for
@@ -249,23 +229,19 @@ def evolve(initial, inputs, params, rng, *, keep_states=True, kernel=None):
     """
     if initial is None:
         initial = initial_state(params)
-    if initial.step != 0:
-        raise ConfigError(f"initial state must have step == 0, got {initial.step}")
     n = params.field_size
     if initial.u.shape[0] != n:
         raise ConfigError(f"initial state has {initial.u.shape[0]} neurons, params expect {n}")
     inputs = _check_vector("inputs", inputs, n)
-    if kernel is None:
-        kernel = build_kernel(params)
     noise = draw_noise(params, rng)
-    run = backends.evolve_batch(initial.u, inputs, kernel.weights, params.tau, params.h,
-                                params.beta, params.dt, params.q, noise[None],
+    run = backends.evolve_batch(initial.u, inputs, build_kernel(params).weights, params.tau,
+                                params.h, params.beta, params.dt, params.q, noise[None],
                                 keep_states=keep_states)
     if run.diverged[0] >= 0:
         raise IntegrationDivergedError(step=int(run.diverged[0]))
     crossed = run.first_step[0] >= 0
     return Trajectory(states=(run.states[0] if keep_states else None),
-                      final=FieldState(run.final[0], step=params.n_steps),
+                      final=FieldState(run.final[0]),
                       max_u=run.max_u[0], n_above=run.n_above[0],
                       first_cross_step=(int(run.first_step[0]) if crossed else None),
                       first_cross_pos=(int(run.first_pos[0]) if crossed else None))

@@ -6,6 +6,7 @@ rerunning with the same data reproduces byte-identical files.
 """
 
 import csv
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -224,14 +225,15 @@ def _colorbar(svg, x, y, height, vmax, pos_color, neg_color):
 
 def _render_sweep_line(result, path):
     """mean_vot ± SEM against a_mp, reference line at the target center,
-    highlighted conditions marked."""
+    highlighted conditions marked. Cells whose mean_vot is NaN (no trial gave
+    a readout) are left out; the line breaks there."""
     xs = list(result.a_mp_values)
     rows = list(result.a_target_values)
     svg = _Svg(640, 440)
-    means = [c.mean_vot for c in result.cells]
-    sems = [0.0 if np.isnan(c.sem_vot) else c.sem_vot for c in result.cells]
-    lo = min(min(m - s for m, s in zip(means, sems)), result.p_target) - 1.5
-    hi = max(max(m + s for m, s in zip(means, sems)), result.p_target) + 1.5
+    spans = [(c.mean_vot, 0.0 if np.isnan(c.sem_vot) else c.sem_vot)
+             for c in result.cells if not np.isnan(c.mean_vot)]
+    lo = min([m - s for m, s in spans] + [result.p_target]) - 1.5
+    hi = max([m + s for m, s in spans] + [result.p_target]) + 1.5
     xpad = 0.25 if len(xs) > 1 else 1.0
     ax = _Axes(svg, (min(xs) - xpad, max(xs) + xpad), (lo, hi))
     svg.text(ax.l, 18, f"mean VOT vs competitor amplitude (n={result.cells[0].n_trials}, "
@@ -246,17 +248,21 @@ def _render_sweep_line(result, path):
     shades = ["#000000", "#555555", "#999999"]
     for r in range(len(rows)):
         cells = result.cells[r * len(xs):(r + 1) * len(xs)]
-        pts = [(ax.px(x), ax.py(c.mean_vot)) for x, c in zip(xs, cells)]
         color = shades[r % len(shades)]
-        svg.polyline(pts, stroke=color)
+        for missing, run in groupby(zip(xs, cells), key=lambda xc: np.isnan(xc[1].mean_vot)):
+            if not missing:
+                svg.polyline([(ax.px(x), ax.py(c.mean_vot)) for x, c in run], stroke=color)
         for x, c in zip(xs, cells):
+            if np.isnan(c.mean_vot):
+                continue
             if not np.isnan(c.sem_vot) and c.sem_vot > 0:
                 svg.line(ax.px(x), ax.py(c.mean_vot - c.sem_vot),
                          ax.px(x), ax.py(c.mean_vot + c.sem_vot), stroke=color)
             svg.circle(ax.px(x), ax.py(c.mean_vot), 2.5, color)
         for x, c in zip(xs, cells):
             if x in (0.0, -3.0, -6.0):
-                svg.circle(ax.px(x), ax.py(c.mean_vot), 4.5, "#bc2426")
+                if not np.isnan(c.mean_vot):
+                    svg.circle(ax.px(x), ax.py(c.mean_vot), 4.5, "#bc2426")
                 svg.text(ax.px(x), ax.t + 12, f"a_mp={x:g}", size=10, anchor="middle",
                          fill="#bc2426")
     return svg.write(path)

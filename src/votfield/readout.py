@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .field import FieldState, Trajectory
 
 METHODS = ("argmax", "centroid_above_threshold", "first_to_threshold")
 
@@ -46,54 +45,6 @@ class TrialResult:
                                   f"[0, {self.final_u.shape[0]})")
 
 
-def _as_u(final):
-    if isinstance(final, FieldState):
-        return final.u
-    return np.asarray(final, dtype=np.float64)
-
-
-def readout_argmax(final):
-    """Grid position of the maximum activation; ties break to the lowest
-    index. Defined for every finite field."""
-    return float(np.argmax(_as_u(final)))
-
-
-def readout_centroid(final):
-    """Activation-weighted mean position over neurons with u > 0, or None
-    when no neuron is above threshold."""
-    u = _as_u(final)
-    mask = u > 0.0
-    if not mask.any():
-        return None
-    idx = np.flatnonzero(mask)
-    w = u[idx]
-    return float(np.sum(idx * w) / np.sum(w))
-
-
-def readout_first_threshold(trajectory):
-    """(position, step) of the first neuron to exceed 0, scanning steps in
-    order with ties broken toward the lowest index; None if never crossed.
-
-    Accepts a Trajectory (full or memory-lean) or any sequence of FieldState.
-    """
-    if isinstance(trajectory, Trajectory):
-        if trajectory.states is None:
-            if trajectory.first_cross_step is None:
-                return None
-            return float(trajectory.first_cross_pos), int(trajectory.first_cross_step)
-        above = trajectory.states > 0.0
-        rows = above.any(axis=1)
-        if not rows.any():
-            return None
-        t = int(np.argmax(rows))
-        return float(np.argmax(above[t])), t
-    for state in trajectory:
-        mask = _as_u(state) > 0.0
-        if mask.any():
-            return float(np.argmax(mask)), int(state.step)
-    return None
-
-
 def readout_rows(final, first_step, first_pos, method):
     """Read out many trials at once from per-row engine results (the `final`,
     `first_step` and `first_pos` of an `Evolution`, any leading shape).
@@ -108,9 +59,11 @@ def readout_rows(final, first_step, first_pos, method):
     if method == "argmax":
         vot = np.argmax(final, axis=-1).astype(np.float64)
     elif method == "centroid_above_threshold":
-        rows = final.reshape(-1, final.shape[-1])
-        vot = np.array([math.nan if c is None else c
-                        for c in map(readout_centroid, rows)]).reshape(first_step.shape)
+        # zero outside the above-threshold region; no such neuron gives 0/0 = NaN
+        mass = np.where(final > 0.0, final, 0.0)
+        with np.errstate(invalid="ignore"):
+            vot = (np.sum(np.arange(final.shape[-1]) * mass, axis=-1)
+                   / np.sum(mass, axis=-1))
     else:
         vot = np.where(first_step >= 0, first_pos, math.nan)
     return vot, first_step, (final > 0.0).any(axis=-1)
@@ -129,17 +82,14 @@ def row_result(vot, time_to_threshold, stabilized, method, seed=None, final_u=No
 
 
 def trial_metrics(trajectory, method, seed=None):
-    """Assemble a TrialResult under the chosen readout method.
+    """Assemble a Trajectory's TrialResult under the chosen readout method.
 
     time_to_threshold and the stabilization flag are recorded regardless of
     method; methods that require stabilization yield vot_target=None on
     trials that never crossed (the result is still returned).
     """
-    if isinstance(trajectory, Trajectory):
-        final = trajectory.final
-    else:
-        final = trajectory[-1]
-    u = _as_u(final)
-    pos, step = readout_first_threshold(trajectory) or (-1, -1)
-    vot, ttt, stab = readout_rows(u, step, pos, method)
+    u = trajectory.final.u
+    crossed = trajectory.first_cross_step is not None
+    vot, ttt, stab = readout_rows(u, trajectory.first_cross_step if crossed else -1,
+                                  trajectory.first_cross_pos if crossed else -1, method)
     return row_result(vot, ttt, stab, method, seed=seed, final_u=u)

@@ -1,6 +1,7 @@
 """Batches, sweeps, the seeding scheme, and named replication campaigns."""
 
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from scipy import stats as sp_stats
 
 from votfield import experiments
 from votfield import (CONDITIONS_BBG2009, Condition, ConfigError,
-                      IntegrationDivergedError, TrialResult, aggregate_trials,
-                      default_config, draw_noise, example_trajectory,
-                      readout_argmax, replicate_named, run_batch, run_trials,
-                      sweep_1d, sweep_2d, trial_metrics, trial_seed)
+                      IntegrationDivergedError, default_config, draw_noise,
+                      example_trajectory, replicate_named, run_batch,
+                      run_trials, sweep_1d, sweep_2d, trial_metrics,
+                      trial_seed)
 
 
 def test_trial_seed_is_a_stable_pure_function():
@@ -89,22 +90,20 @@ def test_aggregate_statistics_match_numpy_reference():
 
 
 def test_aggregate_degenerate_batches():
-    one = [TrialResult(vot_target=70.0, time_to_threshold=30, stabilized=True,
-                       readout_method="argmax")]
-    s = aggregate_trials(one, Condition(6.0, 0.0), 70.0)
-    assert s.mean_vot == 70.0 and s.ch_ms == 0.0
+    (trial,) = run_trials(condition=Condition(6.0, 0.0), n_trials=1, master_seed=1)
+    s = run_batch(condition=Condition(6.0, 0.0), n_trials=1, master_seed=1)
+    assert s.n_trials == 1
+    assert s.mean_vot == trial.vot_target and s.ch_ms == trial.vot_target - 70.0
     assert np.isnan(s.sd_vot) and np.isnan(s.sem_vot) and np.isnan(s.skewness)
-    assert s.mean_time_to_threshold == 30.0
+    assert s.mean_time_to_threshold == trial.time_to_threshold
 
-    nothing = [TrialResult(vot_target=None, time_to_threshold=None, stabilized=False,
-                           readout_method="first_to_threshold")] * 2
-    s2 = aggregate_trials(nothing, Condition(6.0, -6.0), 70.0)
+    # no drive: the field rests near h = -5 and never crosses, so no trial
+    # gives a first_to_threshold readout
+    s2 = run_batch(condition=Condition(0.0, 0.0), n_trials=2, master_seed=1,
+                   method="first_to_threshold")
     assert np.isnan(s2.mean_vot) and np.isnan(s2.ch_ms)
     assert s2.frac_stabilized == 0.0
     assert s2.mean_time_to_threshold is None
-
-    with pytest.raises(ConfigError, match="empty"):
-        aggregate_trials([], Condition(6.0, 0.0), 70.0)
 
 
 def test_sweep_1d_default_grid_and_metadata():
@@ -115,7 +114,7 @@ def test_sweep_1d_default_grid_and_metadata():
     assert len(res.cells) == 21
     assert res.master_seed == 1 and res.readout_method == "argmax"
     assert res.p_target == 70.0
-    assert res.config is cfg
+    assert res.config == dataclasses.replace(cfg, n_trials=4)
 
 
 def test_degenerate_sweep_equals_plain_batch():
@@ -192,7 +191,7 @@ def test_example_trajectories_match_frozen_single_trial_reads():
     # frozen trial-0 observations at master seed 1: argmax 70 / 75 / 81
     for a_mp, lo, hi in [(0.0, 65.0, 75.0), (-3.0, 70.0, 80.0), (-6.0, 76.0, 86.0)]:
         traj = example_trajectory(None, Condition(6.0, a_mp), 1)
-        assert lo <= readout_argmax(traj.final) <= hi
+        assert lo <= trial_metrics(traj, "argmax").vot_target <= hi
 
 
 def test_example_trajectory_crossing_windows():
@@ -230,11 +229,12 @@ def test_sweep_divergence_matches_cell_by_cell_order(monkeypatch):
 
     monkeypatch.setattr(experiments, "draw_noise", kicked_noise)
     monkeypatch.setattr(experiments, "_CHUNK", 4)
+    cfg = dataclasses.replace(default_config(), n_trials=10)
     with pytest.raises(IntegrationDivergedError) as err:
-        experiments._sweep(default_config(), (6.0, 1e308), (0.0, 1e308), 10, 1, "argmax")
+        experiments._sweep(cfg, (6.0, 1e308), (0.0, 1e308))
     assert (err.value.step, err.value.seed) == (1, trial_seed(1, 5))
     with pytest.raises(IntegrationDivergedError) as err:  # the first kick alone
-        experiments._sweep(default_config(), (1e308,), (0.0,), 10, 1, "argmax")
+        experiments._sweep(cfg, (1e308,), (0.0,))
     assert (err.value.step, err.value.seed) == (1, trial_seed(1, 1))
 
 
@@ -250,3 +250,20 @@ def test_invalid_run_arguments_rejected():
         run_batch(n_trials=0)
     with pytest.raises(ConfigError, match="readout"):
         run_batch(n_trials=1, method="best")
+
+
+@pytest.mark.parametrize("runner", [run_batch, sweep_1d, partial(replicate_named, "fig7")],
+                         ids=["run_batch", "sweep_1d", "replicate_named"])
+@pytest.mark.parametrize("key, value", [("n_trials", 2.5), ("n_trials", "3"),
+                                        ("n_trials", True), ("master_seed", 1.5),
+                                        ("master_seed", -1)])
+def test_run_overrides_are_validated_like_the_config(runner, key, value):
+    with pytest.raises(ConfigError, match=key):
+        runner(**{key: value})
+
+
+@pytest.mark.parametrize("args, key", [(("x", 0), "a_target"), ((6.0, "0"), "a_mp"),
+                                       ((6.0, float("inf")), "a_mp")])
+def test_condition_rejects_non_numbers_by_key(args, key):
+    with pytest.raises(ConfigError, match=key):
+        Condition(*args)

@@ -104,7 +104,6 @@ def test_kernel_table_symmetric_and_pointwise_consistent():
     table = build_kernel(PARAMS)
     w = table.weights
     assert w.shape == (399,)
-    assert table.field_size == 200
     assert np.array_equal(w, w[::-1])  # exact, not approximate
     d = np.arange(-199, 200, dtype=np.float64)
     assert np.array_equal(w, kernel_value(d, PARAMS))
@@ -167,35 +166,22 @@ def test_trajectory_indexing_and_lean_mode_agree_bitwise():
     full = evolve(None, drive, PARAMS, np.random.default_rng(123))
     lean = evolve(None, drive, PARAMS, np.random.default_rng(123), keep_states=False)
     assert len(full) == PARAMS.n_steps + 1 == len(lean)
-    assert full.n_steps == PARAMS.n_steps
-    assert full[0].step == 0
-    assert np.all(full[0].u == PARAMS.h)
-    assert np.array_equal(full[-1].u, full.final.u)
-    assert full.final.step == PARAMS.n_steps
+    assert full.states.shape == (PARAMS.n_steps + 1, PARAMS.field_size)
+    assert np.all(full.states[0] == PARAMS.h)
+    assert np.array_equal(full.states[-1], full.final.u)
     assert lean.states is None
     assert np.array_equal(full.final.u, lean.final.u)  # identical arithmetic path
     assert np.array_equal(full.max_u, lean.max_u)
     assert np.array_equal(full.n_above, lean.n_above)
     assert full.first_cross_step == lean.first_cross_step
     assert full.first_cross_pos == lean.first_cross_pos
-    with pytest.raises(ValueError, match="keep_states"):
-        lean[3]
 
 
 def test_evolve_validates_initial_state():
-    with pytest.raises(ConfigError, match="step"):
-        evolve(FieldState(np.zeros(200), step=3), np.zeros(200), PARAMS, None)
     with pytest.raises(ConfigError, match="neurons"):
         evolve(FieldState(np.zeros(50)), np.zeros(200), PARAMS, None)
     with pytest.raises(ConfigError, match="inputs"):
         evolve(None, np.zeros(100), PARAMS, None)
-
-
-def test_evolve_accepts_prebuilt_kernel():
-    kern = build_kernel(NOISELESS)
-    a = evolve(None, target_drive(), NOISELESS, None)
-    b = evolve(None, target_drive(), NOISELESS, None, kernel=kern)
-    assert np.array_equal(a.final.u, b.final.u)
 
 
 def test_u_init_overrides_start_level():
@@ -204,18 +190,12 @@ def test_u_init_overrides_start_level():
     assert np.all(initial_state(NOISELESS).u == NOISELESS.h)
 
 
-def test_state_rejects_negative_step():
-    with pytest.raises(ConfigError, match="step"):
-        FieldState(np.zeros(4), step=-1)
-
-
 def test_draw_noise_shapes_and_reproducibility():
     zero = draw_noise(PARAMS, None)
     assert zero.shape == (120, 200) and not zero.any()
     a = draw_noise(PARAMS, np.random.default_rng(9))
     b = draw_noise(PARAMS, np.random.default_rng(9))
     assert np.array_equal(a, b)
-    assert draw_noise(PARAMS, np.random.default_rng(9), n_steps=7).shape == (7, 200)
 
 
 def test_draw_noise_smoothing_matches_scipy_filter():

@@ -143,7 +143,7 @@ _HEAT_BLUE = (42, 76, 170)
 
 def _states_trajectory(states):
     states = np.asarray(states, dtype=np.float64)
-    return Trajectory(states=states, final=FieldState(states[-1], step=len(states) - 1),
+    return Trajectory(states=states, final=FieldState(states[-1]),
                       max_u=states.max(axis=1), n_above=(states > 0).sum(axis=1),
                       first_cross_step=None, first_cross_pos=None)
 
@@ -241,6 +241,26 @@ def test_surface_draws_nan_cells_grey_and_scales_by_finite_cells(tmp_path):
         assert fills == [grey if i in missing else f for i, f in enumerate(full)]
         assert "+4.0" in text and "-4.0" in text
         assert _RECT.findall(text)[-1][4] == grey and "no data" in text  # legend
+
+
+def test_sweep_line_leaves_nan_cells_unplotted(tmp_path):
+    # first_to_threshold sweeps can give cells with no readout; a NaN first
+    # cell used to turn the y-limits and every point into "nan"
+    nan = math.nan
+    a_mp = (-6.0, -4.0, -2.0, 0.0, 2.0, 4.0)
+    for means, runs in (([nan, nan, nan, 75.0, nan, nan], [1]),
+                        ([72.0, nan, 74.0, 75.0, nan, 71.0], [1, 2, 1]),
+                        ([nan] * 6, [])):
+        cells = tuple(ConditionStats(Condition(6.0, x), 3, m, nan, 0.5, nan, m - 70.0,
+                                     0.0, None) for x, m in zip(a_mp, means))
+        result = SweepResult((6.0,), a_mp, cells, 1, "first_to_threshold", 70.0,
+                             default_config())
+        text = render_plots(result, "sweep_line", tmp_path / "l.svg").read_text()
+        assert "nan" not in text
+        lines = re.findall(r'<polyline points="([^"]+)"', text)
+        assert [len(pts.split()) for pts in lines] == runs  # broken at NaN cells
+        ys = [float(pt.split(",")[1]) for pts in lines for pt in pts.split()]
+        assert all(28.0 <= y <= 440.0 - 46.0 for y in ys)  # inside the plot box
 
 
 def test_heatmap_requires_states(lean_traj, tmp_path):

@@ -1,64 +1,94 @@
 """Readout rules on synthetic fields and on real trajectories."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from votfield import (METHODS, ConfigError, FieldParams, FieldState,
+from votfield import (METHODS, ConfigError, Condition, FieldParams,
                       GaussianInput, TrialResult, compose_inputs, evolve,
-                      readout_argmax, readout_centroid, readout_first_threshold,
-                      trial_metrics)
+                      readout_rows, run_trials, trial_metrics)
 
 PARAMS = FieldParams()
 DRIVE = compose_inputs([GaussianInput(6.0, 70.0, 30.0, "target"),
                         GaussianInput(0.0, 20.0, 30.0, "mp")], 200)
 
 
+def vot_of(u, method="argmax"):
+    """readout_rows on one never-crossed field as a (1, n) row; NaN where
+    absent."""
+    vot, _, _ = readout_rows(np.asarray(u, dtype=np.float64)[None], np.array([-1]),
+                             np.array([-1]), method)
+    assert vot.shape == (1,)
+    return vot[0]
+
+
+def centroid_reference(u):
+    """Activation-weighted mean position over the neurons with u > 0, summed
+    over those neurons only; None when there are none."""
+    idx = np.flatnonzero(u > 0.0)
+    if not idx.size:
+        return None
+    return float(np.sum(idx * u[idx]) / np.sum(u[idx]))
+
+
 def test_argmax_basic_and_tie_breaks_low():
     u = np.full(10, -1.0)
     u[4] = 2.0
-    assert readout_argmax(u) == 4.0
+    assert vot_of(u) == 4.0
     u[7] = 2.0
-    assert readout_argmax(u) == 4.0  # tie -> lowest position
-    assert readout_argmax(np.full(5, -3.0)) == 0.0  # defined below threshold too
-
-
-def test_argmax_accepts_field_state():
-    assert readout_argmax(FieldState(np.array([0.0, 1.0, 0.5]))) == 1.0
+    assert vot_of(u) == 4.0  # tie -> lowest position
+    assert vot_of(np.full(5, -3.0)) == 0.0  # defined below threshold too
 
 
 def test_centroid_weighted_mean_over_active_region():
     u = np.full(10, -1.0)
     u[3], u[4], u[5] = 1.0, 2.0, 1.0
-    assert readout_centroid(u) == pytest.approx(4.0)
+    assert vot_of(u, "centroid_above_threshold") == pytest.approx(4.0)
     u[5] = 3.0
-    assert readout_centroid(u) == pytest.approx((3 * 1 + 4 * 2 + 5 * 3) / 6.0)
-    assert readout_centroid(np.full(10, -0.5)) is None
-    assert readout_centroid(np.zeros(10)) is None  # threshold is strict
+    assert vot_of(u, "centroid_above_threshold") == pytest.approx((3 * 1 + 4 * 2 + 5 * 3) / 6.0)
+    assert math.isnan(vot_of(np.full(10, -0.5), "centroid_above_threshold"))
+    assert math.isnan(vot_of(np.zeros(10), "centroid_above_threshold"))  # threshold is strict
 
 
 def test_centroid_ignores_subthreshold_mass():
-    assert readout_centroid(np.array([-100.0, 0.5, -100.0, -100.0])) == 1.0
+    assert vot_of(np.array([-100.0, 0.5, -100.0, -100.0]), "centroid_above_threshold") == 1.0
 
 
-def test_first_threshold_on_state_sequence():
-    seq = [FieldState(np.array([-1.0, -1.0, -1.0]), step=0),
-           FieldState(np.array([-1.0, -1.0, 0.5]), step=1),
-           FieldState(np.array([0.5, -1.0, 1.0]), step=2)]
-    assert readout_first_threshold(seq) == (2.0, 1)
-    assert readout_first_threshold(seq[:1]) is None
+def test_centroid_rows_match_scalar_reference_on_real_fields():
+    # The array centroid sums whole rows with zeros outside the active region,
+    # so it may differ from a sum over the active neurons alone by rounding.
+    finals = np.array([r.final_u for a_mp in (-6.0, 0.0)
+                       for r in run_trials(condition=Condition(6.0, a_mp), n_trials=100,
+                                           master_seed=1)])
+    steps = np.zeros(len(finals), np.int64)
+    vot, _, _ = readout_rows(finals, steps, steps, "centroid_above_threshold")
+    ref = np.array([math.nan if c is None else c for c in map(centroid_reference, finals)])
+    assert np.isnan(ref).any() and not np.isnan(ref).all()  # both kinds of row occur
+    np.testing.assert_array_equal(np.isnan(vot), np.isnan(ref))
+    assert np.nanmax(np.abs(vot - ref)) <= 1e-12
+
+
+def test_first_threshold_rows_read_the_engine_crossing():
+    vot, ttt, stab = readout_rows(np.array([[-1.0, 0.5], [-1.0, -1.0]]), np.array([7, -1]),
+                                  np.array([1, -1]), "first_to_threshold")
+    assert vot[0] == 1.0 and math.isnan(vot[1])
+    assert ttt.tolist() == [7, -1] and stab.tolist() == [True, False]
 
 
 def test_first_threshold_full_and_lean_trajectories_agree():
     full = evolve(None, DRIVE, PARAMS, np.random.default_rng(5))
     lean = evolve(None, DRIVE, PARAMS, np.random.default_rng(5), keep_states=False)
-    first = readout_first_threshold(full)
-    assert first is not None
-    assert first == readout_first_threshold(lean)
-    pos, step = first
-    assert full.states[step, int(pos)] > 0.0
-    assert not (full.states[:step] > 0.0).any()
+    step, pos = full.first_cross_step, full.first_cross_pos
+    assert step is not None
+    assert (step, pos) == (lean.first_cross_step, lean.first_cross_pos)
+    # the first (step, lowest index) of the recorded states above 0
+    above = np.argwhere(full.states > 0.0)
+    assert (step, pos) == tuple(above[0])
+    for method in METHODS:
+        assert trial_metrics(full, method).vot_target == trial_metrics(lean, method).vot_target
+    assert trial_metrics(lean, "first_to_threshold").vot_target == float(pos)
 
 
 def test_trial_metrics_bundles_consistent_fields():
@@ -67,8 +97,8 @@ def test_trial_metrics_bundles_consistent_fields():
     assert res.readout_method == "argmax"
     assert res.seed == 77
     assert res.stabilized is True
-    assert res.vot_target == readout_argmax(full.final)
-    assert res.time_to_threshold == readout_first_threshold(full)[1]
+    assert res.vot_target == float(np.argmax(full.final.u))
+    assert res.time_to_threshold == full.first_cross_step
     assert np.array_equal(res.final_u, full.final.u)
 
 
