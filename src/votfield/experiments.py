@@ -17,7 +17,8 @@ import numpy as np
 from . import backends
 from .config import RunConfig, SweepRange, default_config
 from .errors import ConfigError, IntegrationDivergedError
-from .field import _is_number, build_kernel, draw_noise, evolve, initial_state
+from .field import (_is_number, build_kernel, draw_noise, evolve, initial_state,
+                    trajectory_row)
 from .readout import readout_rows, row_result
 from .stimulus import compose_inputs
 
@@ -158,10 +159,11 @@ def _run_cells(cfg, conditions, keep_final=False):
     chunks.
 
     Each chunk's seeds and noise are drawn once and shared by every cell
-    (common random numbers); groups of cells go through the engine as one
-    (cells, trials) tile of at most _CHUNK rows. Returns the trial seeds and
-    per-cell (C, n) arrays of `readout_rows`, plus (C, n, field_size) final
-    fields when `keep_final` is set.
+    (common random numbers); the noise goes into one buffer that every chunk
+    reuses, so a run holds one chunk of it. Groups of cells go through the
+    engine as one (cells, trials) tile of at most _CHUNK rows. Returns the
+    trial seeds and per-cell (C, n) arrays of `readout_rows`, plus
+    (C, n, field_size) final fields when `keep_final` is set.
 
     Raises the IntegrationDivergedError of the first diverging cell in
     condition order, at its first diverging trial.
@@ -178,6 +180,7 @@ def _run_cells(cfg, conditions, keep_final=False):
     stab = np.empty((n_cells, n), bool)
     final = np.empty((n_cells, n, params.field_size)) if keep_final else None
     failed = {}  # cell -> (step, seed) of its first diverging trial
+    buffer = np.empty((min(n, _CHUNK), params.n_steps, params.field_size))
     for start in range(0, n, _CHUNK):
         live = min(failed, default=n_cells)  # later cells cannot be the one reported
         if not live:
@@ -185,14 +188,12 @@ def _run_cells(cfg, conditions, keep_final=False):
         chunk = [trial_seed(master, i) for i in range(start, min(n, start + _CHUNK))]
         seeds += chunk
         k = len(chunk)
-        noise = np.empty((k, params.n_steps, params.field_size))
+        noise = buffer[:k]
         for j, seed in enumerate(chunk):
-            noise[j] = draw_noise(params, np.random.default_rng(seed))
+            draw_noise(params, np.random.default_rng(seed), out=noise[j])
         group = max(1, _CHUNK // k)
         for c0 in range(0, live, group):
             cells = slice(c0, min(c0 + group, live))
-            # the tile is a view; naming it would keep this chunk's noise
-            # alive while the next chunk's is drawn
             run = backends.evolve_batch(
                 u0, drives[cells, None], kern.weights, params.tau, params.h, params.beta,
                 params.dt, params.q, np.broadcast_to(noise, (cells.stop - c0,) + noise.shape))
@@ -344,6 +345,23 @@ def replicate_named(name, master_seed=None, config=None, n_trials=None, method=N
         sweep = _sweep(cfg, (a_target,), amps)
         highlight = dict(CONDITIONS_BBG2009)
 
-    trajectories = {tag: example_trajectory(cfg, Condition(a_target, a_mp), cfg.master_seed)
-                    for tag, a_mp in highlight.items()}
-    return ReplicationResult(name=canonical, sweep=sweep, trajectories=trajectories)
+    return ReplicationResult(name=canonical, sweep=sweep,
+                             trajectories=_example_trajectories(cfg, a_target, highlight))
+
+
+def _example_trajectories(cfg, a_target, highlight):
+    """Trial 0 of each highlighted condition ({tag: a_mp}), run as one engine
+    batch of one row per condition on trial 0's noise. Each equals its
+    `example_trajectory` bit for bit, and the first diverging condition
+    raises as `example_trajectory` would."""
+    if not highlight:
+        return {}
+    params = cfg.field
+    drives = np.array([compose_inputs(_condition_inputs(cfg, Condition(a_target, a_mp)),
+                                      params.field_size) for a_mp in highlight.values()])
+    noise = draw_noise(params, np.random.default_rng(trial_seed(cfg.master_seed, 0)))
+    run = backends.evolve_batch(
+        initial_state(params).u, drives, build_kernel(params).weights, params.tau, params.h,
+        params.beta, params.dt, params.q, np.broadcast_to(noise, (len(drives),) + noise.shape),
+        keep_states=True)
+    return {tag: trajectory_row(run, i) for i, tag in enumerate(highlight)}

@@ -181,8 +181,9 @@ def _smoothing_weights(sigma, n):
     return weights
 
 
-def draw_noise(params, rng):
-    """Pre-draw the (n_steps, field_size) noise matrix for one trial.
+def draw_noise(params, rng, out=None):
+    """Draw the (n_steps, field_size) noise matrix for one trial, into `out`
+    if given (a C-contiguous float64 array of that shape), and return it.
 
     Row t is the noise injected on the step from state t to t+1. With
     `noise_smooth_sigma` > 0 each row is convolved along the field axis with
@@ -190,13 +191,18 @@ def draw_noise(params, rng):
     per-neuron variance). `rng=None` gives a zero matrix (useful with q=0).
     """
     shape = (params.n_steps, params.field_size)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ConfigError(f"out must have shape {shape}, got {out.shape}")
     if rng is None:
-        return np.zeros(shape)
-    noise = rng.standard_normal(shape)
+        out.fill(0.0)
+        return out
+    rng.standard_normal(out=out)
     if params.noise_smooth_sigma > 0:
         weights = _smoothing_weights(params.noise_smooth_sigma, params.field_size)
-        noise = backends.convolver(weights)(noise)
-    return noise
+        out[...] = backends.convolver(weights)(out)
+    return out
 
 
 @dataclass(eq=False)
@@ -237,11 +243,17 @@ def evolve(initial, inputs, params, rng, *, keep_states=True):
     run = backends.evolve_batch(initial.u, inputs, build_kernel(params).weights, params.tau,
                                 params.h, params.beta, params.dt, params.q, noise[None],
                                 keep_states=keep_states)
-    if run.diverged[0] >= 0:
-        raise IntegrationDivergedError(step=int(run.diverged[0]))
-    crossed = run.first_step[0] >= 0
-    return Trajectory(states=(run.states[0] if keep_states else None),
-                      final=FieldState(run.final[0]),
-                      max_u=run.max_u[0], n_above=run.n_above[0],
-                      first_cross_step=(int(run.first_step[0]) if crossed else None),
-                      first_cross_pos=(int(run.first_pos[0]) if crossed else None))
+    return trajectory_row(run, 0)
+
+
+def trajectory_row(run, row):
+    """The `Trajectory` of one row of an `Evolution`; raises
+    IntegrationDivergedError (with its step only) if that row diverged."""
+    if run.diverged[row] >= 0:
+        raise IntegrationDivergedError(step=int(run.diverged[row]))
+    crossed = run.first_step[row] >= 0
+    return Trajectory(states=(None if run.states is None else run.states[row]),
+                      final=FieldState(run.final[row]),
+                      max_u=run.max_u[row], n_above=run.n_above[row],
+                      first_cross_step=(int(run.first_step[row]) if crossed else None),
+                      first_cross_pos=(int(run.first_pos[row]) if crossed else None))

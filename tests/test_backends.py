@@ -19,7 +19,7 @@ import votfield
 from votfield import (FieldParams, FieldState, GaussianInput, build_kernel,
                       compose_inputs, initial_state, kernel_value,
                       lateral_input, sigmoid_gate)
-from votfield.backends import evolve_batch
+from votfield.backends import convolver, evolve_batch, gate
 
 PARAMS = FieldParams()
 DRIVE = compose_inputs([GaussianInput(6.0, 70.0, 30.0, "target"),
@@ -138,6 +138,29 @@ def test_one_step_matches_hand_computed_update():
             -u0[i] + p.h + drive[i] + lat + p.q * noise[i])
         assert run.final[0, i] == pytest.approx(expect, abs=1e-12)
     assert run.diverged[0] == -1
+
+
+def test_engine_matches_the_literal_update_bit_for_bit():
+    # the engine folds the gate's halvings into its table; this loop keeps
+    # the formula as written, with the unscaled table, on 128 rows of which
+    # three are kicked with inf, -1e308 and nan
+    p = PARAMS
+    noise3 = np.random.default_rng(13).standard_normal((128, p.n_steps, 200))
+    noise3[5, 3, 10], noise3[6, 0, 50], noise3[7, 40, 100] = np.inf, -1e308, np.nan
+    weights = build_kernel(p).weights
+    run = evolve_batch(initial_state(p).u, DRIVE, weights, p.tau, p.h, p.beta, p.dt,
+                       p.q, noise3, keep_states=True)
+    lat, r = convolver(weights), p.dt / p.tau
+    u = np.broadcast_to(initial_state(p).u, (128, 200))
+    states = [u]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(p.n_steps):
+            xi = noise3[:, t]
+            u = u + r * (-u + p.h + DRIVE + lat(gate(p.beta * u)) + p.q * xi)
+            states.append(u)
+    assert np.stack(states, axis=1).tobytes() == run.states.tobytes()
+    assert u.tobytes() == run.final.tobytes()
+    assert list(run.diverged[5:8]) == [4, -1, 41]
 
 
 def test_cell_tile_rows_equal_flat_runs():

@@ -1,6 +1,7 @@
 """Batches, sweeps, the seeding scheme, and named replication campaigns."""
 
 import dataclasses
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -203,6 +204,41 @@ def test_example_trajectory_crossing_windows():
     assert t6.first_cross_step is None or t6.first_cross_step > 55  # frozen: never
 
 
+def test_replication_trajectories_equal_single_trial_runs():
+    # one engine batch of a row per condition gives each example_trajectory
+    rep = replicate_named("conditions", master_seed=3, n_trials=1)
+    assert set(rep.trajectories) == set(CONDITIONS_BBG2009)
+    for tag, a_mp in CONDITIONS_BBG2009.items():
+        got, single = rep.trajectories[tag], example_trajectory(None, Condition(6.0, a_mp), 3)
+        assert got.states.tobytes() == single.states.tobytes()
+        assert np.array_equal(got.n_above, single.n_above)
+        assert (got.first_cross_step, got.first_cross_pos) == (
+            single.first_cross_step, single.first_cross_pos)
+
+
+def test_replication_trajectory_divergence_raises_like_a_single_run():
+    cfg = default_config()
+    cfg = dataclasses.replace(cfg, field=dataclasses.replace(cfg.field, tau=0.01))
+    with pytest.raises(IntegrationDivergedError) as single:
+        example_trajectory(cfg, Condition(6.0, 1e308), 1)
+    with pytest.raises(IntegrationDivergedError) as err:
+        experiments._example_trajectories(cfg, 6.0, {"calm": 0.0, "kicked": 1e308})
+    assert (err.value.step, err.value.seed) == (single.value.step, None)
+
+
+def test_a_run_holds_one_chunk_of_noise():
+    # 256 trials are two chunks; the second is drawn into the first's buffer
+    params = default_config().field
+    chunk_bytes = experiments._CHUNK * params.n_steps * params.field_size * 8
+    tracemalloc.start()
+    try:
+        run_batch(n_trials=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * chunk_bytes, f"peak {peak / chunk_bytes:.2f} chunks of noise"
+
+
 def test_divergence_carries_the_failing_trial_seed():
     cfg = default_config()
     cfg = dataclasses.replace(cfg, field=dataclasses.replace(cfg.field, tau=0.01))
@@ -220,8 +256,8 @@ def test_sweep_divergence_matches_cell_by_cell_order(monkeypatch):
     # first chunk. Run cell by cell, the sweep meets cell 1's trial 5 first.
     kicks = {trial_seed(1, 1): 70, trial_seed(1, 5): 20}  # seed -> kicked neuron
 
-    def kicked_noise(params, rng):
-        noise = draw_noise(params, rng)
+    def kicked_noise(params, rng, out=None):
+        noise = draw_noise(params, rng, out=out)
         pos = kicks.get(rng.bit_generator.seed_seq.entropy)
         if pos is not None:
             noise[0, pos] = 1e308
