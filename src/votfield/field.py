@@ -193,8 +193,11 @@ def draw_noise(params, rng, out=None):
     shape = (params.n_steps, params.field_size)
     if out is None:
         out = np.empty(shape)
-    elif out.shape != shape:
-        raise ConfigError(f"out must have shape {shape}, got {out.shape}")
+    elif out.shape != shape or not out.flags.c_contiguous:
+        # numpy fills `out` in memory order, so only a C-ordered buffer gets
+        # the bits of a fresh draw
+        raise ConfigError(f"out must be a C-contiguous array of shape {shape}, "
+                          f"got shape {out.shape}")
     if rng is None:
         out.fill(0.0)
         return out

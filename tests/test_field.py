@@ -208,8 +208,9 @@ def test_draw_noise_into_a_buffer_matches_a_fresh_draw(sigma):
     assert out.tobytes() == fresh.tobytes()
     assert np.isnan(buf[[0, 2]]).all()  # the neighbouring rows are untouched
     assert draw_noise(params, None, out=out) is out and not out.any()
-    with pytest.raises(ConfigError, match="out"):
-        draw_noise(params, None, out=buf[:, 0])
+    for bad in (buf[:, 0], np.empty((200, 120)).T):  # wrong shape; Fortran order
+        with pytest.raises(ConfigError, match="out"):
+            draw_noise(params, None, out=bad)
 
 
 def test_draw_noise_smoothing_matches_scipy_filter():
