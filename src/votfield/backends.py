@@ -64,18 +64,13 @@ def evolve_batch(u0, drive, weights, tau, h, beta, dt, q, noise3, keep_states=Fa
 
     `noise3` is (..., T, n) with any leading batch shape; `u0` and `drive`
     broadcast to (..., n). Each row takes T steps of
-    u += (dt/tau) * (-u + h + drive + lat(gate(beta*u)) + q*xi), with the
-    gate's constant factors folded into the table; a row that stops being
-    finite is flagged in `diverged` while the rest go on.
+    u += (dt/tau) * (-u + h + drive + lat(gate(beta*u)) + q*xi); a row that
+    stops being finite is flagged in `diverged` while the rest go on.
     """
     noise3 = np.asarray(noise3, dtype=np.float64)
     lead, (n_steps, n) = noise3.shape[:-2], noise3.shape[-2:]
     drive = np.asarray(drive, dtype=np.float64)
-    # gate(z) = 0.5 * (1 + tanh(0.5*z)), and halving is exact, so the two
-    # halvings move into c and the table without changing a bit:
-    # lat(gate(beta*u)) == (1 + tanh(c*u)) @ (0.5*K)
-    lat = convolver(0.5 * np.asarray(weights, dtype=np.float64))
-    c = 0.5 * beta
+    lat = convolver(weights)
     r = dt / tau
     u = np.array(np.broadcast_to(np.asarray(u0, dtype=np.float64), lead + (n,)))
     max_u = np.empty(lead + (n_steps + 1,))
@@ -100,6 +95,6 @@ def evolve_batch(u0, drive, weights, tau, h, beta, dt, q, noise3, keep_states=Fa
     # rows that diverged go on as inf/nan without touching the others
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(n_steps):
-            u = u + r * (h - u + drive + lat(1.0 + np.tanh(c * u)) + q * noise3[..., t, :])
+            u = u + r * (-u + h + drive + lat(gate(beta * u)) + q * noise3[..., t, :])
             record(t + 1, u)
     return Evolution(u, max_u, n_above, first_step, first_pos, diverged, states)

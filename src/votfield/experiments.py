@@ -17,8 +17,7 @@ import numpy as np
 from . import backends
 from .config import RunConfig, SweepRange, default_config
 from .errors import ConfigError, IntegrationDivergedError
-from .field import (_is_number, build_kernel, draw_noise, evolve, initial_state,
-                    trajectory_row)
+from .field import _is_number, build_kernel, draw_noise, initial_state, trajectory_row
 from .readout import readout_rows, row_result
 from .stimulus import compose_inputs
 
@@ -159,10 +158,10 @@ def _run_cells(cfg, conditions, keep_final=False):
     chunks.
 
     Each chunk's seeds and noise are drawn once and shared by every cell
-    (common random numbers); the noise goes into one buffer that every chunk
-    reuses, so a run holds one chunk of it. Groups of cells go through the
-    engine as one (cells, trials) tile of at most _CHUNK rows. Returns the
-    trial seeds and per-cell (C, n) arrays of `readout_rows`, plus
+    (common random numbers) and released before the next chunk's is drawn,
+    so a run holds one chunk of noise. Groups of cells go through the engine
+    as one (cells, trials) tile of at most _CHUNK rows. Returns the trial
+    seeds and per-cell (C, n) arrays of `readout_rows`, plus
     (C, n, field_size) final fields when `keep_final` is set.
 
     Raises the IntegrationDivergedError of the first diverging cell in
@@ -180,7 +179,6 @@ def _run_cells(cfg, conditions, keep_final=False):
     stab = np.empty((n_cells, n), bool)
     final = np.empty((n_cells, n, params.field_size)) if keep_final else None
     failed = {}  # cell -> (step, seed) of its first diverging trial
-    buffer = np.empty((min(n, _CHUNK), params.n_steps, params.field_size))
     for start in range(0, n, _CHUNK):
         live = min(failed, default=n_cells)  # later cells cannot be the one reported
         if not live:
@@ -188,12 +186,14 @@ def _run_cells(cfg, conditions, keep_final=False):
         chunk = [trial_seed(master, i) for i in range(start, min(n, start + _CHUNK))]
         seeds += chunk
         k = len(chunk)
-        noise = buffer[:k]
+        noise = np.empty((k, params.n_steps, params.field_size))
         for j, seed in enumerate(chunk):
-            draw_noise(params, np.random.default_rng(seed), out=noise[j])
+            noise[j] = draw_noise(params, np.random.default_rng(seed))
         group = max(1, _CHUNK // k)
         for c0 in range(0, live, group):
             cells = slice(c0, min(c0 + group, live))
+            # the tile is a view; naming it would keep this chunk's noise
+            # alive while the next chunk's is drawn
             run = backends.evolve_batch(
                 u0, drives[cells, None], kern.weights, params.tau, params.h, params.beta,
                 params.dt, params.q, np.broadcast_to(noise, (cells.stop - c0,) + noise.shape))
@@ -206,6 +206,13 @@ def _run_cells(cfg, conditions, keep_final=False):
                 run.final, run.first_step, run.first_pos, cfg.readout)
             if keep_final:
                 final[rows] = run.final
+        # Free this chunk's noise before the next is drawn. A fresh array per
+        # chunk, not one reused buffer: freeing it lets glibc raise its mmap
+        # threshold above the engine's per-step temporaries (205 kB at 128
+        # rows), which under a held buffer stay mmaps with fresh page faults
+        # (on a 2-core host, replicate fig6 --trials 500 took 4.5x the page
+        # faults and 5-41% longer that way).
+        del noise
     if failed:
         step, seed = failed[min(failed)]
         raise IntegrationDivergedError(step=step, seed=seed)
@@ -302,11 +309,25 @@ def sweep_2d(config=None, a_mp_range=None, a_target_range=None, n_trials=None,
 def example_trajectory(config, condition, master_seed, trial_index=0):
     """Full trajectory of one batch trial (by default trial 0), bit-identical
     to that trial inside run_trials."""
+    return _example_trajectories(config, [condition], master_seed, trial_index)[0]
+
+
+def _example_trajectories(config, conditions, master_seed, trial_index=0):
+    """`example_trajectory` of each condition, run as one engine batch of a
+    row per condition on the trial's noise; the first diverging condition
+    raises IntegrationDivergedError (with its step only)."""
+    if not conditions:
+        return []
     cfg = default_config() if config is None else config
     params = cfg.field
-    drive = compose_inputs(_condition_inputs(cfg, condition), params.field_size)
-    rng = np.random.default_rng(trial_seed(master_seed, trial_index))
-    return evolve(initial_state(params), drive, params, rng, keep_states=True)
+    drives = np.array([compose_inputs(_condition_inputs(cfg, c), params.field_size)
+                       for c in conditions])
+    noise = draw_noise(params, np.random.default_rng(trial_seed(master_seed, trial_index)))
+    run = backends.evolve_batch(
+        initial_state(params).u, drives, build_kernel(params).weights, params.tau, params.h,
+        params.beta, params.dt, params.q, np.broadcast_to(noise, (len(drives),) + noise.shape),
+        keep_states=True)
+    return [trajectory_row(run, i) for i in range(len(drives))]
 
 
 def replicate_named(name, master_seed=None, config=None, n_trials=None, method=None):
@@ -345,23 +366,7 @@ def replicate_named(name, master_seed=None, config=None, n_trials=None, method=N
         sweep = _sweep(cfg, (a_target,), amps)
         highlight = dict(CONDITIONS_BBG2009)
 
+    trajectories = _example_trajectories(
+        cfg, [Condition(a_target, a_mp) for a_mp in highlight.values()], cfg.master_seed)
     return ReplicationResult(name=canonical, sweep=sweep,
-                             trajectories=_example_trajectories(cfg, a_target, highlight))
-
-
-def _example_trajectories(cfg, a_target, highlight):
-    """Trial 0 of each highlighted condition ({tag: a_mp}), run as one engine
-    batch of one row per condition on trial 0's noise. Each equals its
-    `example_trajectory` bit for bit, and the first diverging condition
-    raises as `example_trajectory` would."""
-    if not highlight:
-        return {}
-    params = cfg.field
-    drives = np.array([compose_inputs(_condition_inputs(cfg, Condition(a_target, a_mp)),
-                                      params.field_size) for a_mp in highlight.values()])
-    noise = draw_noise(params, np.random.default_rng(trial_seed(cfg.master_seed, 0)))
-    run = backends.evolve_batch(
-        initial_state(params).u, drives, build_kernel(params).weights, params.tau, params.h,
-        params.beta, params.dt, params.q, np.broadcast_to(noise, (len(drives),) + noise.shape),
-        keep_states=True)
-    return {tag: trajectory_row(run, i) for i, tag in enumerate(highlight)}
+                             trajectories=dict(zip(highlight, trajectories)))

@@ -181,9 +181,8 @@ def _smoothing_weights(sigma, n):
     return weights
 
 
-def draw_noise(params, rng, out=None):
-    """Draw the (n_steps, field_size) noise matrix for one trial, into `out`
-    if given (a C-contiguous float64 array of that shape), and return it.
+def draw_noise(params, rng):
+    """Pre-draw the (n_steps, field_size) noise matrix for one trial.
 
     Row t is the noise injected on the step from state t to t+1. With
     `noise_smooth_sigma` > 0 each row is convolved along the field axis with
@@ -191,21 +190,13 @@ def draw_noise(params, rng, out=None):
     per-neuron variance). `rng=None` gives a zero matrix (useful with q=0).
     """
     shape = (params.n_steps, params.field_size)
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or not out.flags.c_contiguous:
-        # numpy fills `out` in memory order, so only a C-ordered buffer gets
-        # the bits of a fresh draw
-        raise ConfigError(f"out must be a C-contiguous array of shape {shape}, "
-                          f"got shape {out.shape}")
     if rng is None:
-        out.fill(0.0)
-        return out
-    rng.standard_normal(out=out)
+        return np.zeros(shape)
+    noise = rng.standard_normal(shape)
     if params.noise_smooth_sigma > 0:
         weights = _smoothing_weights(params.noise_smooth_sigma, params.field_size)
-        out[...] = backends.convolver(weights)(out)
-    return out
+        noise = backends.convolver(weights)(noise)
+    return noise
 
 
 @dataclass(eq=False)

@@ -141,9 +141,8 @@ def test_one_step_matches_hand_computed_update():
 
 
 def test_engine_matches_the_literal_update_bit_for_bit():
-    # the engine folds the gate's halvings into its table; this loop keeps
-    # the formula as written, with the unscaled table, on 128 rows of which
-    # three are kicked with inf, -1e308 and nan
+    # the update as written, on 128 rows of which three are kicked with inf,
+    # -1e308 and nan, is the reference for any rewrite of the engine's step
     p = PARAMS
     noise3 = np.random.default_rng(13).standard_normal((128, p.n_steps, 200))
     noise3[5, 3, 10], noise3[6, 0, 50], noise3[7, 40, 100] = np.inf, -1e308, np.nan

@@ -205,7 +205,8 @@ def test_example_trajectory_crossing_windows():
 
 
 def test_replication_trajectories_equal_single_trial_runs():
-    # one engine batch of a row per condition gives each example_trajectory
+    # one engine batch of a row per condition gives each condition's
+    # single-row run
     rep = replicate_named("conditions", master_seed=3, n_trials=1)
     assert set(rep.trajectories) == set(CONDITIONS_BBG2009)
     for tag, a_mp in CONDITIONS_BBG2009.items():
@@ -222,12 +223,12 @@ def test_replication_trajectory_divergence_raises_like_a_single_run():
     with pytest.raises(IntegrationDivergedError) as single:
         example_trajectory(cfg, Condition(6.0, 1e308), 1)
     with pytest.raises(IntegrationDivergedError) as err:
-        experiments._example_trajectories(cfg, 6.0, {"calm": 0.0, "kicked": 1e308})
+        experiments._example_trajectories(cfg, [Condition(6.0, 0.0), Condition(6.0, 1e308)], 1)
     assert (err.value.step, err.value.seed) == (single.value.step, None)
 
 
 def test_a_run_holds_one_chunk_of_noise():
-    # 256 trials are two chunks; the second is drawn into the first's buffer
+    # 256 trials are two chunks; the first is freed before the second is drawn
     params = default_config().field
     chunk_bytes = experiments._CHUNK * params.n_steps * params.field_size * 8
     tracemalloc.start()
@@ -256,8 +257,8 @@ def test_sweep_divergence_matches_cell_by_cell_order(monkeypatch):
     # first chunk. Run cell by cell, the sweep meets cell 1's trial 5 first.
     kicks = {trial_seed(1, 1): 70, trial_seed(1, 5): 20}  # seed -> kicked neuron
 
-    def kicked_noise(params, rng, out=None):
-        noise = draw_noise(params, rng, out=out)
+    def kicked_noise(params, rng):
+        noise = draw_noise(params, rng)
         pos = kicks.get(rng.bit_generator.seed_seq.entropy)
         if pos is not None:
             noise[0, pos] = 1e308

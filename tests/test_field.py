@@ -198,21 +198,6 @@ def test_draw_noise_shapes_and_reproducibility():
     assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("sigma", [0.0, 2.0])
-def test_draw_noise_into_a_buffer_matches_a_fresh_draw(sigma):
-    params = dataclasses.replace(PARAMS, noise_smooth_sigma=sigma)
-    fresh = draw_noise(params, np.random.default_rng(4))
-    buf = np.full((3, 120, 200), np.nan)
-    out = buf[1]
-    assert draw_noise(params, np.random.default_rng(4), out=out) is out
-    assert out.tobytes() == fresh.tobytes()
-    assert np.isnan(buf[[0, 2]]).all()  # the neighbouring rows are untouched
-    assert draw_noise(params, None, out=out) is out and not out.any()
-    for bad in (buf[:, 0], np.empty((200, 120)).T):  # wrong shape; Fortran order
-        with pytest.raises(ConfigError, match="out"):
-            draw_noise(params, None, out=bad)
-
-
 def test_draw_noise_smoothing_matches_scipy_filter():
     # scipy is the oracle; the dense convolution agrees to rounding, within
     # 1e-12 absolute on unit-variance noise. At sigma 60 the kernel's radius
