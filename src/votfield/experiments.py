@@ -170,7 +170,7 @@ def _run_cells(cfg, conditions, keep_final=False):
     params, n, master = cfg.field, cfg.n_trials, cfg.master_seed
     drives = np.array([compose_inputs(_condition_inputs(cfg, c), params.field_size)
                        for c in conditions])
-    kern = build_kernel(params)
+    table = backends.toeplitz(build_kernel(params).weights)  # once per run
     u0 = initial_state(params).u
     n_cells = len(conditions)
     seeds = []
@@ -188,14 +188,14 @@ def _run_cells(cfg, conditions, keep_final=False):
         k = len(chunk)
         noise = np.empty((k, params.n_steps, params.field_size))
         for j, seed in enumerate(chunk):
-            noise[j] = draw_noise(params, np.random.default_rng(seed))
+            draw_noise(params, np.random.default_rng(seed), out=noise[j])
         group = max(1, _CHUNK // k)
         for c0 in range(0, live, group):
             cells = slice(c0, min(c0 + group, live))
             # the tile is a view; naming it would keep this chunk's noise
             # alive while the next chunk's is drawn
             run = backends.evolve_batch(
-                u0, drives[cells, None], kern.weights, params.tau, params.h, params.beta,
+                u0, drives[cells, None], table, params.tau, params.h, params.beta,
                 params.dt, params.q, np.broadcast_to(noise, (cells.stop - c0,) + noise.shape))
             for c, j in zip(*np.nonzero(run.diverged >= 0)):  # each cell's trials in order
                 failed.setdefault(c0 + c, (int(run.diverged[c, j]), chunk[j]))
@@ -208,10 +208,11 @@ def _run_cells(cfg, conditions, keep_final=False):
                 final[rows] = run.final
         # Free this chunk's noise before the next is drawn. A fresh array per
         # chunk, not one reused buffer: freeing it lets glibc raise its mmap
-        # threshold above the engine's per-step temporaries (205 kB at 128
-        # rows), which under a held buffer stay mmaps with fresh page faults
-        # (on a 2-core host, replicate fig6 --trials 500 took 4.5x the page
-        # faults and 5-41% longer that way).
+        # threshold above the engine's buffers (205 kB each at 128 rows),
+        # which under a held buffer stay mmaps with fresh page faults on every
+        # engine call (on a 2-core host, when they were per-step temporaries,
+        # replicate fig6 --trials 500 took 4.5x the page faults and 5-41%
+        # longer that way).
         del noise
     if failed:
         step, seed = failed[min(failed)]

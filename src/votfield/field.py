@@ -181,22 +181,27 @@ def _smoothing_weights(sigma, n):
     return weights
 
 
-def draw_noise(params, rng):
+def draw_noise(params, rng, out=None):
     """Pre-draw the (n_steps, field_size) noise matrix for one trial.
 
     Row t is the noise injected on the step from state t to t+1. With
     `noise_smooth_sigma` > 0 each row is convolved along the field axis with
     a normalised Gaussian, zero outside the grid (this lowers the effective
     per-neuron variance). `rng=None` gives a zero matrix (useful with q=0).
+    With `out`, a C-contiguous float64 array of that shape, the matrix is
+    written into it and `out` is returned.
     """
     shape = (params.n_steps, params.field_size)
+    if out is None:
+        out = np.empty(shape)
     if rng is None:
-        return np.zeros(shape)
-    noise = rng.standard_normal(shape)
+        out[...] = 0.0
+        return out
+    rng.standard_normal(shape, out=out)
     if params.noise_smooth_sigma > 0:
         weights = _smoothing_weights(params.noise_smooth_sigma, params.field_size)
-        noise = backends.convolver(weights)(noise)
-    return noise
+        out[...] = backends.convolver(weights)(out)
+    return out
 
 
 @dataclass(eq=False)
@@ -225,7 +230,8 @@ def evolve(initial, inputs, params, rng, *, keep_states=True):
 
     `rng` is a seeded numpy Generator supplying the noise stream (or None for
     a zero noise matrix). With keep_states=False only the final state and
-    per-step summaries (max activation, above-threshold count) are kept.
+    per-step summaries (max activation, above-threshold count) are kept;
+    the engine reads the summaries off the states, so it keeps them anyway.
     """
     if initial is None:
         initial = initial_state(params)
@@ -236,8 +242,11 @@ def evolve(initial, inputs, params, rng, *, keep_states=True):
     noise = draw_noise(params, rng)
     run = backends.evolve_batch(initial.u, inputs, build_kernel(params).weights, params.tau,
                                 params.h, params.beta, params.dt, params.q, noise[None],
-                                keep_states=keep_states)
-    return trajectory_row(run, 0)
+                                keep_states=True)
+    traj = trajectory_row(run, 0)
+    if not keep_states:
+        traj.states = None
+    return traj
 
 
 def trajectory_row(run, row):

@@ -26,10 +26,12 @@ DRIVE = compose_inputs([GaussianInput(6.0, 70.0, 30.0, "target"),
                         GaussianInput(-3.0, 20.0, 30.0, "mp")], 200)
 
 
-def _run(noise3):
+def _run(noise3, u0=None):
+    # with the states, which the per-step max_u and n_above are read from
     p = PARAMS
-    return evolve_batch(initial_state(p).u, DRIVE, build_kernel(p).weights, p.tau,
-                        p.h, p.beta, p.dt, p.q, noise3)
+    u0 = initial_state(p).u if u0 is None else u0
+    return evolve_batch(u0, DRIVE, build_kernel(p).weights, p.tau, p.h, p.beta, p.dt,
+                        p.q, noise3, keep_states=True)
 
 
 def _rows(run, rows):
@@ -84,7 +86,7 @@ drive = compose_inputs([GaussianInput(6.0, 70.0, 30.0, "target"),
                         GaussianInput(-3.0, 20.0, 30.0, "mp")], 200)
 noise3 = np.random.default_rng(12).standard_normal((128, p.n_steps, 200))
 run = evolve_batch(initial_state(p).u, drive, build_kernel(p).weights, p.tau, p.h,
-                   p.beta, p.dt, p.q, noise3)
+                   p.beta, p.dt, p.q, noise3, keep_states=True)
 with open(sys.argv[1], "wb") as out:
     for field in (run.final, run.max_u, run.n_above, run.first_step, run.first_pos):
         out.write(field.tobytes())
@@ -176,7 +178,7 @@ def test_cell_tile_rows_equal_flat_runs():
 
     def run(drive, noise3):
         return evolve_batch(initial_state(p).u, drive, weights, p.tau, p.h, p.beta,
-                            p.dt, p.q, noise3)
+                            p.dt, p.q, noise3, keep_states=True)
 
     tile = run(drives[:, None], np.broadcast_to(noise, (3,) + noise.shape))
     assert tile.final.shape == (3, 7, 200) and tile.max_u.shape == (3, 7, p.n_steps + 1)
@@ -188,3 +190,31 @@ def test_cell_tile_rows_equal_flat_runs():
         cell = type(tile)(*(None if f is None else f[c] for f in tile))
         _assert_rows_equal(_rows(cell, others), _rows(run(drives[c], clean), others))
         _assert_rows_equal(_rows(cell, [3]), _rows(run(drives[c], noise[3:4]), [0]))
+
+
+def test_row_bits_do_not_depend_on_the_layout_of_u0():
+    # a shared (n,) start, a C-ordered and a Fortran-ordered (B, n) copy of it
+    # give the same bits, and the engine's state is C-ordered whatever u0 is
+    rng = np.random.default_rng(14)
+    noise3 = rng.standard_normal((16, PARAMS.n_steps, 200))
+    start = PARAMS.h + rng.uniform(-1.0, 1.0, 200)
+    c_rows = np.tile(start, (16, 1))
+    runs = [_run(noise3, u0) for u0 in (start, c_rows, np.asfortranarray(c_rows))]
+    for run in runs:
+        assert run.final.flags.c_contiguous
+        _assert_rows_equal(_rows(run, range(16)), _rows(runs[0], range(16)))
+        assert run.states.tobytes() == runs[0].states.tobytes()
+
+
+def test_finite_rows_near_the_largest_float_are_not_diverged():
+    # rows of +-1e308 overflow the tile-wide sum while every value stays
+    # finite; only a row with a nan or inf may be flagged
+    noise3 = np.random.default_rng(15).standard_normal((3, PARAMS.n_steps, 200))
+    u0 = np.stack([np.full(200, 1e308), np.full(200, -1e308), initial_state(PARAMS).u])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(u0.sum()) and not np.isfinite(u0[:1].sum())
+    run = _run(noise3, u0)
+    assert np.all(np.isfinite(run.states))
+    assert list(run.diverged) == [-1, -1, -1]
+    for k in range(3):  # and each row is its own one-row run
+        _assert_rows_equal(_rows(_run(noise3[k:k + 1], u0[k]), [0]), _rows(run, [k]))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats as sp_stats
 
-from votfield import experiments
+from votfield import backends, experiments
 from votfield import (CONDITIONS_BBG2009, Condition, ConfigError,
                       IntegrationDivergedError, default_config, draw_noise,
                       example_trajectory, replicate_named, run_batch,
@@ -240,6 +240,27 @@ def test_a_run_holds_one_chunk_of_noise():
     assert peak < 1.25 * chunk_bytes, f"peak {peak / chunk_bytes:.2f} chunks of noise"
 
 
+def test_a_sweep_builds_the_lateral_table_once(monkeypatch):
+    # 10 trials in chunks of 4, 4 and 2 over 3 cells are 3 + 3 + 2 tiles of
+    # at most 4 rows: 8 engine calls, all on one table
+    calls = {"toeplitz": 0, "evolve_batch": 0}
+
+    def counted(name):
+        fn = getattr(backends, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(backends, name, counted(name))
+    monkeypatch.setattr(experiments, "_CHUNK", 4)
+    cfg = dataclasses.replace(default_config(), n_trials=10)
+    experiments._sweep(cfg, (6.0,), (-3.0, 0.0, 3.0))
+    assert calls == {"toeplitz": 1, "evolve_batch": 8}
+
+
 def test_divergence_carries_the_failing_trial_seed():
     cfg = default_config()
     cfg = dataclasses.replace(cfg, field=dataclasses.replace(cfg.field, tau=0.01))
@@ -257,8 +278,8 @@ def test_sweep_divergence_matches_cell_by_cell_order(monkeypatch):
     # first chunk. Run cell by cell, the sweep meets cell 1's trial 5 first.
     kicks = {trial_seed(1, 1): 70, trial_seed(1, 5): 20}  # seed -> kicked neuron
 
-    def kicked_noise(params, rng):
-        noise = draw_noise(params, rng)
+    def kicked_noise(params, rng, out=None):
+        noise = draw_noise(params, rng, out=out)
         pos = kicks.get(rng.bit_generator.seed_seq.entropy)
         if pos is not None:
             noise[0, pos] = 1e308

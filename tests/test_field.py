@@ -196,6 +196,12 @@ def test_draw_noise_shapes_and_reproducibility():
     a = draw_noise(PARAMS, np.random.default_rng(9))
     b = draw_noise(PARAMS, np.random.default_rng(9))
     assert np.array_equal(a, b)
+    # drawn into a given row of a larger array, with the same bits
+    rows = np.full((2, 120, 200), np.nan)
+    row = rows[1]
+    assert draw_noise(PARAMS, np.random.default_rng(9), out=row) is row
+    assert a.tobytes() == row.tobytes() and np.isnan(rows[0]).all()
+    assert not draw_noise(PARAMS, None, out=rows[0]).any()
 
 
 def test_draw_noise_smoothing_matches_scipy_filter():
@@ -208,6 +214,8 @@ def test_draw_noise_smoothing_matches_scipy_filter():
     for sigma in (0.3, 2.0, 7.5, 60.0):
         params = dataclasses.replace(PARAMS, noise_smooth_sigma=sigma)
         smooth = draw_noise(params, np.random.default_rng(11))
+        into = draw_noise(params, np.random.default_rng(11), out=np.empty((120, 200)))
+        assert into.tobytes() == smooth.tobytes()
         ref = gaussian_filter1d(raw, sigma, axis=1, mode="constant", cval=0.0)
         assert np.max(np.abs(smooth - ref)) <= 1e-12
         assert smooth.std() < raw.std()  # smoothing trades variance for correlation
