@@ -135,8 +135,11 @@ def evolve_batch(u0, drive, weights, tau, h, beta, dt, q, noise3, keep_states=Fa
             bracket += h
             bracket += drive
             bracket += lat
-            np.multiply(q, noise3[..., t, :], out=lat)  # q * xi, in the spent product's place
-            bracket += lat
+            if q == 1.0:  # q * xi is xi, bit for bit
+                bracket += noise3[..., t, :]
+            else:
+                np.multiply(q, noise3[..., t, :], out=lat)  # in the spent product's place
+                bracket += lat
             np.multiply(r, bracket, out=bracket)
             u += bracket
             record(t + 1)

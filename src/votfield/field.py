@@ -13,6 +13,7 @@ not periodic). The noise term sits inside the bracket, so the per-step noise
 increment is (dt/tau)*q*xi — not sqrt(dt)-scaled; see the `dt` field note.
 """
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -166,6 +167,13 @@ def _check_vector(name, vec, n):
     return vec
 
 
+@functools.lru_cache(maxsize=4)
+def _smoother(sigma, n):
+    """The `backends.convolver` of the smoothing weights, so that a run
+    builds its table once, not once per trial's draw."""
+    return backends.convolver(_smoothing_weights(sigma, n))
+
+
 def _smoothing_weights(sigma, n):
     """Normalised Gaussian taps of radius int(4*sigma + 0.5) (as
     scipy.ndimage.gaussian_filter1d tabulates them), laid out as a
@@ -199,8 +207,7 @@ def draw_noise(params, rng, out=None):
         return out
     rng.standard_normal(shape, out=out)
     if params.noise_smooth_sigma > 0:
-        weights = _smoothing_weights(params.noise_smooth_sigma, params.field_size)
-        out[...] = backends.convolver(weights)(out)
+        out[...] = _smoother(params.noise_smooth_sigma, params.field_size)(out)
     return out
 
 

@@ -62,15 +62,18 @@ def emit_trajectory_csv(traj, path, summary_path=None):
     if summary_path is None:
         summary_path = path.with_name(path.stem + "_summary" + path.suffix)
     summary_path = _open_csv(summary_path)
+    # one %-template per step row, "t,0,%r\nt,1,%r\n...": repr of each value
+    # is the only per-value work, and one row at a time is held
+    lines = [f",{x},%r\n" for x in range(traj.states.shape[1])]
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write("step,x,u\n")
         for t, row_u in enumerate(traj.states):
-            fh.write("".join([f"{t},{x},{u!r}\n" for x, u in enumerate(row_u.tolist())]))
+            step = str(t)
+            fh.write((step + step.join(lines)) % tuple(row_u.tolist()))
     with summary_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("step", "max_u", "n_above_threshold"))
-        for t in range(len(traj)):
-            writer.writerow((t, repr(float(traj.max_u[t])), int(traj.n_above[t])))
+        fh.write("step,max_u,n_above_threshold\n")
+        fh.writelines("%d,%r,%d\n" % row for row in zip(
+            range(len(traj)), traj.max_u.tolist(), traj.n_above.tolist()))
     return path, summary_path
 
 
@@ -167,10 +170,11 @@ class _Svg:
     def write(self, path):
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        # in blocks of parts: one joined copy of a heatmap is megabytes
+        # part by part: one joined copy of a heatmap is megabytes
         with path.open("w", encoding="utf-8") as fh:
-            for i in range(0, len(self.parts), 4096):
-                fh.write("\n".join(self.parts[i:i + 4096]) + "\n")
+            for part in self.parts:
+                fh.write(part)
+                fh.write("\n")
             fh.write("</svg>\n")
         return path
 
@@ -284,10 +288,16 @@ def _render_heatmap(traj, path):
     xs = [_f(ax.l + t * cw) for t in range(n_rows)]
     ys = [_f(ax.t + (n - 1 - i) * chh) for i in range(n)]
     size = f'width="{_f(cw + 0.05)}" height="{_f(chh + 0.05)}"'
-    # a generator: no row view of the fill array stays alive into svg.write
-    svg.parts.extend(f'<rect x="{x}" y="{y}" {size} fill="{c}"/>'
-                     for x, fills in zip(xs, _diverging(states, vmax, _RED, _BLUE))
-                     for y, c in zip(ys, fills.tolist()))
+    # one part per time column: the fixed pieces of its n rects, with the
+    # column's x and fills set into their slots, joined once
+    pieces = []
+    for y in ys:
+        pieces += ['<rect x="', None, f'" y="{y}" {size} fill="', None, '"/>\n']
+    pieces[-1] = '"/>'
+    for x, fills in zip(xs, _diverging(states, vmax, _RED, _BLUE)):
+        pieces[1::5] = [x] * n
+        pieces[3::5] = fills.tolist()
+        svg.parts.append("".join(pieces))
     ax.frame("time step", "VOT (ms)")
     ax.xticks(_ticks(0, n_rows - 1, max(1.0, _tick_step(n_rows, 6))))
     ax.yticks(_ticks(0, n, max(1.0, _tick_step(n, 8))))

@@ -142,10 +142,12 @@ def test_one_step_matches_hand_computed_update():
     assert run.diverged[0] == -1
 
 
-def test_engine_matches_the_literal_update_bit_for_bit():
+@pytest.mark.parametrize("q", [1.0, 0.5, 0.0])
+def test_engine_matches_the_literal_update_bit_for_bit(q):
     # the update as written, on 128 rows of which three are kicked with inf,
-    # -1e308 and nan, is the reference for any rewrite of the engine's step
-    p = PARAMS
+    # -1e308 and nan, is the reference for any rewrite of the engine's step;
+    # q = 1 takes the engine's path that skips the product q * xi
+    p = dataclasses.replace(PARAMS, q=q)
     noise3 = np.random.default_rng(13).standard_normal((128, p.n_steps, 200))
     noise3[5, 3, 10], noise3[6, 0, 50], noise3[7, 40, 100] = np.inf, -1e308, np.nan
     weights = build_kernel(p).weights

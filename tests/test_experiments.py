@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats as sp_stats
 
-from votfield import backends, experiments
+from votfield import backends, experiments, field
 from votfield import (CONDITIONS_BBG2009, Condition, ConfigError,
                       IntegrationDivergedError, default_config, draw_noise,
                       example_trajectory, replicate_named, run_batch,
@@ -259,6 +259,34 @@ def test_a_sweep_builds_the_lateral_table_once(monkeypatch):
     cfg = dataclasses.replace(default_config(), n_trials=10)
     experiments._sweep(cfg, (6.0,), (-3.0, 0.0, 3.0))
     assert calls == {"toeplitz": 1, "evolve_batch": 8}
+
+
+def test_a_smoothed_run_builds_the_noise_table_once(monkeypatch):
+    # 10 smoothed trials in chunks of 4 build two tables, the lateral one and
+    # the smoothing one, with the bits of a smoothing table built per draw
+    cfg = dataclasses.replace(default_config(), n_trials=10)
+    cfg = dataclasses.replace(cfg, field=dataclasses.replace(cfg.field, noise_smooth_sigma=2.0))
+    builds = []
+    toeplitz = backends.toeplitz
+
+    def counted(weights):
+        builds.append(1)
+        return toeplitz(weights)
+
+    monkeypatch.setattr(backends, "toeplitz", counted)
+    monkeypatch.setattr(experiments, "_CHUNK", 4)
+    field._smoother.cache_clear()
+    once = run_batch(cfg)
+    assert len(builds) == 2
+    trials = run_trials(cfg)
+    # the per-trial path: a smoothing table for every draw
+    monkeypatch.setattr(field, "_smoother", field._smoother.__wrapped__)
+    builds.clear()
+    per_trial = run_batch(cfg)
+    assert len(builds) == 1 + 10
+    assert repr(once) == repr(per_trial)
+    for a, b in zip(trials, run_trials(cfg)):
+        assert a.final_u.tobytes() == b.final_u.tobytes()
 
 
 def test_divergence_carries_the_failing_trial_seed():

@@ -3,10 +3,12 @@
 import csv
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from votfield import outputs
 from votfield import (SWEEP_COLUMNS, Condition, ConditionStats, ConfigError,
                       FieldParams, FieldState, GaussianInput, SweepResult,
                       Trajectory, compose_inputs, config_from_dict,
@@ -277,3 +279,100 @@ def test_unknown_plot_kind_rejected(tiny_sweep, tmp_path):
 def test_emitters_create_parent_directories(tiny_sweep, tmp_path):
     path = emit_sweep_csv(tiny_sweep, tmp_path / "deep" / "nested" / "s.csv")
     assert path.is_file()
+
+
+# -------------------------------------------------- byte references for export
+# The per-value writers that the exporters replaced, kept as the byte
+# reference for any rewrite of them, as tests/test_backends.py keeps the
+# literal update for the engine.
+
+
+def _reference_trajectory_csv(traj, path, summary_path):
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        fh.write("step,x,u\n")
+        for t, row_u in enumerate(traj.states):
+            for x, u in enumerate(row_u.tolist()):
+                fh.write(f"{t},{x},{u!r}\n")
+    with summary_path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("step", "max_u", "n_above_threshold"))
+        for t in range(len(traj)):
+            writer.writerow((t, repr(float(traj.max_u[t])), int(traj.n_above[t])))
+
+
+def _reference_heatmap(traj, path):
+    states = traj.states
+    n_rows, n = states.shape
+    svg = outputs._Svg(700, 460)
+    ax = outputs._Axes(svg, (0, n_rows), (0, n), left=62, right=90, top=28, bottom=46)
+    vmax = float(np.max(np.abs(states)))
+    svg.text(ax.l, 18, "field evolution (activation u; threshold at 0)", size=12)
+    cw, chh = ax.w / n_rows, ax.h / n
+    fills = outputs._diverging(states, vmax, _HEAT_RED, _HEAT_BLUE)
+    for t in range(n_rows):
+        for i in range(n):
+            svg.rect(ax.l + t * cw, ax.t + (n - 1 - i) * chh, cw + 0.05, chh + 0.05,
+                     fills[t, i])
+    ax.frame("time step", "VOT (ms)")
+    ax.xticks(outputs._ticks(0, n_rows - 1, max(1.0, outputs._tick_step(n_rows, 6))))
+    ax.yticks(outputs._ticks(0, n, max(1.0, outputs._tick_step(n, 8))))
+    cb_x, cb_h = svg.width - 70, ax.h * 0.6
+    cb_y = ax.t + (ax.h - cb_h) / 2
+    outputs._colorbar(svg, cb_x, cb_y, cb_h, vmax, _HEAT_RED, _HEAT_BLUE)
+    svg.text(cb_x + 18, cb_y + 8, f"{vmax:.1f}", size=9)
+    svg.text(cb_x + 18, cb_y + cb_h / 2 + 3, "0", size=9)
+    svg.text(cb_x + 18, cb_y + cb_h, f"{-vmax:.1f}", size=9)
+    svg.text(cb_x + 7, cb_y - 8, "u", size=10, anchor="middle")
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write("\n".join(svg.parts) + "\n</svg>\n")
+
+
+_AWKWARD = (-0.0, 1e-05, 1e+16, 5e-324, -5.0, math.inf, math.nan)
+
+
+def _awkward_states(finite):
+    """121 x 200 states seeded with values whose repr or colour is awkward:
+    signed zero, exponent forms, the smallest subnormal and (unless `finite`)
+    inf and nan, which make the heatmap's vmax inf or nan."""
+    states = np.random.default_rng(4).standard_normal((121, 200)) * 3.0
+    values = [v for v in _AWKWARD if math.isfinite(v) or not finite]
+    flat = states.reshape(-1)
+    for k, v in enumerate(values):
+        flat[k * 3457 % flat.size] = v
+        flat[-1 - k] = -v
+    return states
+
+
+@pytest.mark.parametrize("states", ["example", "awkward", "awkward_finite"])
+def test_exports_keep_the_bytes_of_the_per_value_writers(states, traj, tmp_path):
+    if states != "example":
+        traj = _states_trajectory(_awkward_states(finite=states == "awkward_finite"))
+    path, spath = emit_trajectory_csv(traj, tmp_path / "t.csv")
+    _reference_trajectory_csv(traj, tmp_path / "r.csv", tmp_path / "r_summary.csv")
+    assert path.read_bytes() == (tmp_path / "r.csv").read_bytes()
+    assert spath.read_bytes() == (tmp_path / "r_summary.csv").read_bytes()
+    svg = render_plots(traj, "field_evolution_heatmap", tmp_path / "h.svg")
+    _reference_heatmap(traj, tmp_path / "r.svg")
+    assert svg.read_bytes() == (tmp_path / "r.svg").read_bytes()
+
+
+def test_exporting_a_trajectory_holds_under_a_file_of_memory(traj, tmp_path):
+    # One row (CSV) or one time column (heatmap) is formatted at a time, so
+    # the CSV export peaks below its own file size and the heatmap below three
+    # times its file. On the 121 x 200 example the per-value writers peaked at
+    # 0.15 and 3.8 MB, the row/column templates at 0.04 and 2.6 MB, and one
+    # whole-file template and tuple (the heatmap joined into one string) at
+    # 1.8 and 6.9 MB, against files of 0.62 and 1.74 MB.
+    def peak(export):
+        tracemalloc.start()
+        try:
+            export()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    csv_peak = peak(lambda: emit_trajectory_csv(traj, tmp_path / "t.csv"))
+    svg_peak = peak(lambda: render_plots(traj, "field_evolution_heatmap", tmp_path / "h.svg"))
+    csv_files = csv_peak / (tmp_path / "t.csv").stat().st_size
+    svg_files = svg_peak / (tmp_path / "h.svg").stat().st_size
+    assert (csv_files < 1.0, svg_files < 3.0) == (True, True), (csv_files, svg_files)
