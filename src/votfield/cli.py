@@ -4,20 +4,21 @@ Subcommands map onto the library entry points: simulate (one trial, full
 trajectory), batch (one condition), sweep1d / sweep2d (amplitude grids),
 replicate (canned named campaigns), validate-config (resolve and print a
 config). Every run is fully determined by the config plus --seed, so
-repeating a command reproduces its outputs byte for byte.
+repeating a command reproduces its outputs byte for byte. A run prints one
+stats line per sweep cell (simulate: its trial's readout), then one `wrote`
+line naming the files it wrote, in write order.
 """
 
 import argparse
-import dataclasses
 import logging
 import os
 import sys
 from pathlib import Path
 
-from .config import default_config, load_config, serialize_config
+from .config import load_config, serialize_config
 from .errors import ConfigError, IntegrationDivergedError
-from .experiments import (_default_condition, _sweep, example_trajectory,
-                          replicate_named, sweep_1d, sweep_2d, trial_seed)
+from .experiments import (REPLICATION_ALIASES, REPLICATIONS, _default_condition, _resolved,
+                          _sweep, example_trajectory, replicate_named, sweep_1d, sweep_2d)
 from .outputs import emit_sweep_csv, emit_trajectory_csv, render_plots
 from .readout import METHODS, trial_metrics
 
@@ -51,24 +52,11 @@ def build_parser():
                    help="sweep competitor and target amplitudes jointly")
     rep = sub.add_parser("replicate", parents=[common],
                          help="run a canned campaign by name")
-    rep.add_argument("name", choices=("fig6", "fig7", "fig12",
-                                      "conditions", "conditions_bbg2009"),
+    rep.add_argument("name", choices=REPLICATIONS + tuple(REPLICATION_ALIASES),
                      help="campaign to run")
     sub.add_parser("validate-config", parents=[common],
                    help="resolve a config and print its canonical JSON")
     return parser
-
-
-def _resolve_config(args):
-    cfg = load_config(args.config) if args.config else default_config()
-    updates = {}
-    if args.seed is not None:
-        updates["master_seed"] = args.seed
-    if args.trials is not None:
-        updates["n_trials"] = args.trials
-    if args.readout is not None:
-        updates["readout"] = args.readout
-    return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
 def _out_dir(args, cfg):
@@ -78,75 +66,56 @@ def _out_dir(args, cfg):
     return path
 
 
-def _say(quiet, msg):
-    if not quiet:
-        print(msg)
-
-
-def _fmt_opt(v, spec="{:.2f}"):
-    return "none" if v is None else spec.format(v)
-
-
-def _print_stats(quiet, stats):
+def _stats_line(stats):
     c = stats.condition
     line = (f"a_target={c.a_target:g} a_mp={c.a_mp:g} n={stats.n_trials} "
             f"mean_vot={stats.mean_vot:.2f} sd={stats.sd_vot:.2f} "
             f"ch_ms={stats.ch_ms:+.2f} frac_stabilized={stats.frac_stabilized:.3f}")
     if stats.mean_time_to_threshold is not None:
         line += f" mean_ttt={stats.mean_time_to_threshold:.1f}"
-    _say(quiet, line)
+    return line
 
 
-def _cmd_simulate(args, cfg, out):
-    traj = example_trajectory(cfg, _default_condition(cfg), cfg.master_seed, trial_index=0)
-    result = trial_metrics(traj, cfg.readout, seed=trial_seed(cfg.master_seed, 0))
-    csv_path, summary_path = emit_trajectory_csv(traj, out / "trajectory.csv")
-    svg_path = render_plots(traj, "field_evolution_heatmap", out / "trajectory.svg")
-    _say(args.quiet, f"vot_target: {_fmt_opt(result.vot_target, '{:g}')}")
-    _say(args.quiet, f"time_to_threshold: {_fmt_opt(result.time_to_threshold, '{:g}')}")
-    _say(args.quiet, f"stabilized: {str(result.stabilized).lower()}")
-    _say(args.quiet, f"readout_method: {result.readout_method}")
-    _say(args.quiet, f"wrote {csv_path}, {summary_path}, {svg_path}")
-    return 0
+def _readout_lines(result):
+    def opt(v):
+        return "none" if v is None else f"{v:g}"
+    return [f"vot_target: {opt(result.vot_target)}",
+            f"time_to_threshold: {opt(result.time_to_threshold)}",
+            f"stabilized: {str(result.stabilized).lower()}",
+            f"readout_method: {result.readout_method}"]
 
 
-def _cmd_batch(args, cfg, out):
-    cond = _default_condition(cfg)
-    result = _sweep(cfg, (cond.a_target,), (cond.a_mp,))
-    _print_stats(args.quiet, result.cells[0])
-    path = emit_sweep_csv(result, out / "batch.csv")
-    _say(args.quiet, f"wrote {path}")
-    return 0
-
-
-def _cmd_sweep(args, cfg, out, two_d):
-    result = sweep_2d(cfg) if two_d else sweep_1d(cfg)
-    for stats in result.cells:
-        _print_stats(args.quiet, stats)
-    stem = "sweep2d" if two_d else "sweep1d"
-    csv_path = emit_sweep_csv(result, out / f"{stem}.csv")
-    kind = "surface_2d" if two_d else "sweep_line"
-    svg_path = render_plots(result, kind, out / f"{stem}.svg")
-    _say(args.quiet, f"wrote {csv_path}, {svg_path}")
-    return 0
-
-
-def _cmd_replicate(args, cfg, out):
+def _run(args, cfg):
+    """Run the command. Returns (file stem, sweep or None, plot kind of the
+    sweep or None, {tag: Trajectory}); simulate's one trajectory has tag ""."""
+    if args.command == "simulate":
+        traj = example_trajectory(cfg, _default_condition(cfg), cfg.master_seed)
+        return "trajectory", None, None, {"": traj}
+    if args.command == "batch":
+        cond = _default_condition(cfg)
+        return "batch", _sweep(cfg, (cond.a_target,), (cond.a_mp,)), None, {}
+    if args.command == "sweep1d":
+        return "sweep1d", sweep_1d(cfg), "sweep_line", {}
+    if args.command == "sweep2d":
+        return "sweep2d", sweep_2d(cfg), "surface_2d", {}
     rep = replicate_named(args.name, config=cfg)
-    for stats in rep.sweep.cells:
-        _print_stats(args.quiet, stats)
-    written = [emit_sweep_csv(rep.sweep, out / f"{rep.name}.csv")]
     kind = "surface_2d" if rep.name == "fig12" else "sweep_line"
-    written.append(render_plots(rep.sweep, kind, out / f"{rep.name}.svg"))
-    for tag in sorted(rep.trajectories):
-        traj = rep.trajectories[tag]
-        csv_path, summary_path = emit_trajectory_csv(
-            traj, out / f"{rep.name}_traj_{tag}.csv")
-        written += [csv_path, summary_path,
-                    render_plots(traj, "field_evolution_heatmap",
-                                 out / f"{rep.name}_traj_{tag}.svg")]
-    _say(args.quiet, "wrote " + ", ".join(str(p) for p in written))
-    return 0
+    return rep.name, rep.sweep, kind, rep.trajectories
+
+
+def _write(out, stem, sweep, kind, trajectories):
+    """Write a run's CSV and SVG files; returns their paths in write order."""
+    written = []
+    if sweep is not None:
+        written.append(emit_sweep_csv(sweep, out / f"{stem}.csv"))
+    if kind is not None:
+        written.append(render_plots(sweep, kind, out / f"{stem}.svg"))
+    for tag in sorted(trajectories):
+        name = f"{stem}_traj_{tag}" if tag else stem
+        written += emit_trajectory_csv(trajectories[tag], out / f"{name}.csv")
+        written.append(render_plots(trajectories[tag], "field_evolution_heatmap",
+                                    out / f"{name}.svg"))
+    return written
 
 
 def cli_main(argv=None):
@@ -159,20 +128,21 @@ def cli_main(argv=None):
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     logging.getLogger().setLevel(logging.ERROR if args.quiet else logging.WARNING)
     try:
-        cfg = _resolve_config(args)
+        cfg = _resolved(load_config(args.config) if args.config else None,
+                        args.trials, args.seed, args.readout)
         if args.command == "validate-config":
             print(serialize_config(cfg), end="")
             return 0
         out = _out_dir(args, cfg)
+        stem, sweep, kind, trajectories = _run(args, cfg)
+        written = _write(out, stem, sweep, kind, trajectories)
+        lines = [_stats_line(stats) for stats in sweep.cells] if sweep is not None else []
         if args.command == "simulate":
-            return _cmd_simulate(args, cfg, out)
-        if args.command == "batch":
-            return _cmd_batch(args, cfg, out)
-        if args.command == "sweep1d":
-            return _cmd_sweep(args, cfg, out, two_d=False)
-        if args.command == "sweep2d":
-            return _cmd_sweep(args, cfg, out, two_d=True)
-        return _cmd_replicate(args, cfg, out)
+            lines += _readout_lines(trial_metrics(trajectories[""], cfg.readout))
+        lines.append("wrote " + ", ".join(str(p) for p in written))
+        if not args.quiet:
+            print("\n".join(lines))
+        return 0
     except (ConfigError, IntegrationDivergedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -23,7 +23,7 @@ losslessly.
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import asdict, dataclass, field as dc_field, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -38,8 +38,7 @@ DEFAULT_INPUTS = (
 
 _TOP_KEYS = ("field", "inputs", "sweep", "n_trials", "master_seed", "readout", "out_dir")
 _FIELD_KEYS = tuple(f.name for f in fields(FieldParams))
-_INPUT_KEYS = ("label", "a", "p", "w")
-_RANGE_KEYS = ("lo", "hi", "step")
+_INPUT_KEYS = tuple(f.name for f in fields(GaussianInput))
 
 
 def _as_number(key, val):
@@ -63,7 +62,7 @@ class SweepRange:
     step: float
 
     def __post_init__(self):
-        for key in ("lo", "hi", "step"):
+        for key in _RANGE_KEYS:
             object.__setattr__(self, key, _as_number(f"sweep {key}", getattr(self, key)))
         if self.step <= 0:
             raise ConfigError(f"sweep step must be > 0, got {self.step}")
@@ -73,6 +72,9 @@ class SweepRange:
     def values(self):
         n = int(math.floor((self.hi - self.lo) / self.step + 1e-9))
         return tuple(round(self.lo + k * self.step, 10) for k in range(n + 1))
+
+
+_RANGE_KEYS = tuple(f.name for f in fields(SweepRange))
 
 
 @dataclass(frozen=True)
@@ -164,11 +166,7 @@ def _merge_range(raw, base, name):
     if raw is None:
         return base
     _check_keys(raw, _RANGE_KEYS, f"sweep {name}")
-    return SweepRange(
-        lo=raw.get("lo", base.lo),
-        hi=raw.get("hi", base.hi),
-        step=raw.get("step", base.step),
-    )
+    return SweepRange(**{key: raw.get(key, getattr(base, key)) for key in _RANGE_KEYS})
 
 
 def config_from_dict(raw):
@@ -190,24 +188,20 @@ def config_from_dict(raw):
         "sweep_a_mp": _merge_range(sweep.get("a_mp"), base.sweep_a_mp, "a_mp"),
         "sweep_a_target": _merge_range(sweep.get("a_target"), base.sweep_a_target, "a_target"),
     }
-    for key in ("n_trials", "master_seed", "readout"):
+    for key in ("n_trials", "master_seed", "readout", "out_dir"):
         if key in raw:
             kwargs[key] = raw[key]
-    if "out_dir" in raw and raw["out_dir"] is not None:
-        if not isinstance(raw["out_dir"], str):
-            raise ConfigError(f"out_dir must be a string or null, got {raw['out_dir']!r}")
-        kwargs["out_dir"] = raw["out_dir"]
     return RunConfig(**kwargs)
 
 
 def load_config(path):
     """Load and resolve a config file; unspecified fields take defaults."""
     p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {p}")
     try:
         raw = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config file not found: {p}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config parse error in {p}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be a JSON object in {p}")
@@ -216,22 +210,10 @@ def load_config(path):
 
 def config_to_dict(cfg):
     """Fully resolved config as plain JSON-serializable data."""
-    return {
-        "field": {key: getattr(cfg.field, key) for key in _FIELD_KEYS},
-        "inputs": [
-            {"label": i.label, "a": i.a, "p": i.p, "w": i.w} for i in cfg.inputs
-        ],
-        "sweep": {
-            "a_mp": {"lo": cfg.sweep_a_mp.lo, "hi": cfg.sweep_a_mp.hi,
-                     "step": cfg.sweep_a_mp.step},
-            "a_target": {"lo": cfg.sweep_a_target.lo, "hi": cfg.sweep_a_target.hi,
-                         "step": cfg.sweep_a_target.step},
-        },
-        "n_trials": cfg.n_trials,
-        "master_seed": cfg.master_seed,
-        "readout": cfg.readout,
-        "out_dir": cfg.out_dir,
-    }
+    data = asdict(cfg)
+    data["inputs"] = list(data["inputs"])
+    data["sweep"] = {"a_mp": data.pop("sweep_a_mp"), "a_target": data.pop("sweep_a_target")}
+    return data
 
 
 def serialize_config(cfg):

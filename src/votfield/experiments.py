@@ -31,11 +31,18 @@ CONDITIONS_BBG2009 = {
     "no_context": -3.0,
     "context": -6.0,
 }
-_FIG6_RANGE = SweepRange(-6.0, 4.0, 0.5)
-_FIG12_MP_RANGE = SweepRange(-6.0, 5.0, 0.5)
-_FIG12_TARGET_RANGE = SweepRange(5.0, 10.0, 0.5)
-_HIGHLIGHT_AMPS = (0.0, -3.0, -6.0)
-REPLICATIONS = ("fig6", "fig7", "fig12", "conditions_bbg2009")
+_HIGHLIGHTS = {f"amp{a:g}": a for a in (0.0, -3.0, -6.0)}
+# name -> (a_target grid, or None for the config's target amplitude; a_mp grid;
+#          a_mp of each highlighted condition by tag, run as an example trajectory)
+_PRESETS = {
+    "fig6": (None, SweepRange(-6.0, 4.0, 0.5).values(), _HIGHLIGHTS),
+    "fig7": (None, tuple(sorted(_HIGHLIGHTS.values())), _HIGHLIGHTS),
+    "fig12": (SweepRange(5.0, 10.0, 0.5).values(), SweepRange(-6.0, 5.0, 0.5).values(), {}),
+    "conditions_bbg2009": (None, tuple(sorted(CONDITIONS_BBG2009.values())),
+                           CONDITIONS_BBG2009),
+}
+REPLICATIONS = tuple(_PRESETS)
+REPLICATION_ALIASES = {"conditions": "conditions_bbg2009"}
 
 
 @dataclass(frozen=True)
@@ -94,16 +101,6 @@ class SweepResult:
             if c.condition.a_target == a_target and c.condition.a_mp == a_mp:
                 return c
         raise KeyError(f"no cell at a_target={a_target}, a_mp={a_mp}")
-
-    def baseline_mean_vot(self, a_target=None):
-        """mean_vot of the zero-competitor cell at this a_target, if present
-        (an empirical baseline to compare ch_ms against)."""
-        if a_target is None:
-            a_target = self.a_target_values[0]
-        try:
-            return self.cell(a_target, 0.0).mean_vot
-        except KeyError:
-            return None
 
 
 @dataclass(eq=False)
@@ -345,28 +342,15 @@ def replicate_named(name, master_seed=None, config=None, n_trials=None, method=N
     count, seed, and readout defaults. Example trajectories are trial 0 of
     the respective condition's batch.
     """
-    canonical = {"conditions": "conditions_bbg2009"}.get(name, name)
-    if canonical not in REPLICATIONS:
+    canonical = REPLICATION_ALIASES.get(name, name)
+    if canonical not in _PRESETS:
         raise ConfigError(f"unknown replication {name!r}; expected one of "
-                          f"{', '.join(REPLICATIONS)} (or 'conditions')")
+                          f"{', '.join(REPLICATIONS)} "
+                          f"(or {', '.join(map(repr, REPLICATION_ALIASES))})")
     cfg = _resolved(config, n_trials, master_seed, method)
     a_target = cfg.input_by_label("target").a
-
-    if canonical == "fig6":
-        sweep = _sweep(cfg, (a_target,), _FIG6_RANGE.values())
-        highlight = {f"amp{a:g}": a for a in _HIGHLIGHT_AMPS}
-    elif canonical == "fig7":
-        amps = tuple(sorted(_HIGHLIGHT_AMPS))
-        sweep = _sweep(cfg, (a_target,), amps)
-        highlight = {f"amp{a:g}": a for a in _HIGHLIGHT_AMPS}
-    elif canonical == "fig12":
-        sweep = _sweep(cfg, _FIG12_TARGET_RANGE.values(), _FIG12_MP_RANGE.values())
-        highlight = {}
-    else:
-        amps = tuple(sorted(set(CONDITIONS_BBG2009.values())))
-        sweep = _sweep(cfg, (a_target,), amps)
-        highlight = dict(CONDITIONS_BBG2009)
-
+    a_target_values, a_mp_values, highlight = _PRESETS[canonical]
+    sweep = _sweep(cfg, a_target_values or (a_target,), a_mp_values)
     trajectories = _example_trajectories(
         cfg, [Condition(a_target, a_mp) for a_mp in highlight.values()], cfg.master_seed)
     return ReplicationResult(name=canonical, sweep=sweep,

@@ -15,7 +15,8 @@ except ModuleNotFoundError:  # Python < 3.11
     import tomli as tomllib
 
 import votfield
-from votfield import SWEEP_COLUMNS, config_from_dict, load_config, serialize_config
+from votfield import (REPLICATIONS, SWEEP_COLUMNS, cli, config_from_dict, load_config,
+                      serialize_config)
 from votfield.cli import cli_main
 
 
@@ -132,6 +133,54 @@ def test_bad_config_exits_one_with_stderr_message(tmp_path, capsys):
     code, _, err = run_cli(["replicate", "fig6", "--config",
                             str(tmp_path / "nope.json")], capsys)
     assert code == 1 and "not found" in err
+
+    bad.write_bytes(b"\xff")  # not UTF-8
+    code, out, err = run_cli(["batch", "--config", str(bad)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: config parse error in ") and str(bad) in err
+
+    code, out, err = run_cli(["batch", "--config", str(tmp_path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "not found" not in err
+
+
+COMMANDS = ([["simulate"], ["batch"], ["sweep1d"], ["sweep2d"]]
+            + [["replicate", name] for name in REPLICATIONS + ("conditions",)])
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_report_names_every_written_file_and_one_line_per_cell(command, tmp_path, capsys,
+                                                              monkeypatch):
+    emitted = []  # paths in the order the emitters returned them
+
+    def recording(fn):
+        def emit(*args, **kwargs):
+            paths = fn(*args, **kwargs)
+            emitted.extend(paths if isinstance(paths, tuple) else [paths])
+            return paths
+        return emit
+
+    for name in ("emit_sweep_csv", "emit_trajectory_csv", "render_plots"):
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    out_dir = tmp_path / "o"
+    code, out, _ = run_cli(command + ["--trials", "1", "--out", str(out_dir)], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1].startswith("wrote ")
+    assert not any(line.startswith("wrote ") for line in lines[:-1])
+    wrote = lines[-1][len("wrote "):].split(", ")
+    assert wrote == [str(p) for p in emitted]
+    assert sorted(wrote) == sorted(str(p) for p in out_dir.iterdir())
+
+    stats = [line for line in lines if line.startswith("a_target=")]
+    if command[0] == "simulate":
+        assert stats == [] and "stabilized: " in out
+        return
+    rows = emitted[0].read_text().splitlines()[1:]  # the sweep CSV is written first
+    assert len(stats) == len(rows) > 0
+    for line, row in zip(stats, rows):
+        a_target, a_mp = row.split(",")[:2]
+        assert line.startswith(f"a_target={float(a_target):g} a_mp={float(a_mp):g} ")
 
 
 def test_usage_errors_exit_two(capsys):

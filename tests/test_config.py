@@ -91,6 +91,13 @@ def test_malformed_files(tmp_path):
         load_config(write(tmp_path, "{not json"))
     with pytest.raises(ConfigError, match="object"):
         load_config(write(tmp_path, "[1, 2]"))
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"readout": "\xff"}')  # not UTF-8
+    with pytest.raises(ConfigError, match="parse error") as info:
+        load_config(latin1)
+    assert str(latin1) in str(info.value)
+    with pytest.raises(OSError):  # a directory exists: the OS's own error, not "not found"
+        load_config(tmp_path)
 
 
 def test_serialization_round_trips_canonically(tmp_path):

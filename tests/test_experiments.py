@@ -126,7 +126,6 @@ def test_degenerate_sweep_equals_plain_batch():
     assert cell.sd_vot == batch.sd_vot
     assert cell.mean_time_to_threshold == batch.mean_time_to_threshold
     assert single.cell(6.0, 0.0) is cell
-    assert single.baseline_mean_vot() == batch.mean_vot
     with pytest.raises(KeyError):
         single.cell(6.0, 2.0)
 
