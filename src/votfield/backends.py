@@ -1,15 +1,18 @@
 """The field evolution engine: one NumPy loop that advances a batch of trials.
 
-Each Python-level step updates every row of a (..., n) batch at once; a
-sweep passes a (cells, trials) tile whose rows share each trial's noise. The
-gate and Euler update are elementwise and the lateral term is one dense
-product of the rows with a fixed n x n table, so a trial's bits do not depend
-on its batch's shape or its place in it as long as the BLAS matrix-matrix
-kernel sums each output row in an order that does not depend on the row
-count. OpenBLAS's did for every count tried from 2 to 512, at 1 or 2
-threads; NumPy sends a single row to the matrix-vector kernel instead, which
-rounds differently, so a single row is padded to two. tests/test_backends.py
-pins this on every host it runs on.
+`evolve_batch` takes the run's `FieldParams`, the n x n `toeplitz` table of
+its kernel and the trials' noise. Each Python-level step updates every row
+of a (..., n) batch at once; a sweep passes a (cells, trials) tile whose rows
+share each trial's noise. The gate and Euler update are elementwise and the
+lateral term is one dense product of the rows with the table, so a trial's
+bits do not depend on its batch's shape or its place in it as long as the
+BLAS matrix-matrix kernel sums each output row in an order that does not
+depend on the row count. OpenBLAS's did for every count tried from 2 to
+512, at 1 or 2 threads; NumPy sends a single row to the matrix-vector kernel
+instead, which rounds differently, so a single row is padded to two.
+tests/test_backends.py pins this on every host it runs on. The noise
+smoothing multiplies by a `toeplitz` table too (`field.draw_noise`), but on
+each trial's noise alone, so those bits do not depend on the batch either.
 
 The step runs in place on C-ordered buffers allocated once per call, in the
 literal update's order of operations, so it gives the literal update's bits.
@@ -24,12 +27,9 @@ import numpy as np
 class Evolution(NamedTuple):
     """Per-row results of `evolve_batch`, with the batch's leading axes (...);
     a step or position is -1 when the row never crossed threshold (first_*)
-    or stayed finite (diverged). The per-step summaries are read off the
-    states, so they are None when the states are not kept."""
+    or stayed finite (diverged)."""
 
     final: np.ndarray       # (..., n) last field, C-ordered
-    max_u: np.ndarray | None    # (..., T+1) max activation per step
-    n_above: np.ndarray | None  # (..., T+1) neurons with u > 0 per step
     first_step: np.ndarray  # (...) first step with some u > 0
     first_pos: np.ndarray   # (...) lowest such neuron at that step
     diverged: np.ndarray    # (...) first step whose field is not finite
@@ -52,44 +52,23 @@ def toeplitz(weights):
     return w[idx[None, :] - idx[:, None] + n - 1]
 
 
-def convolver(weights):
-    """Return lat(g): lat(g)[..., i] = sum_j weights[i - j + n - 1] * g[..., j].
-
-    The product of the rows of g, reshaped to (-1, n), with the `toeplitz`
-    table of the weights, which is built once here. A one-row batch is
-    multiplied as two rows, so that NumPy never hands it to gemv.
-    """
-    table = toeplitz(weights)
-    n = table.shape[0]
-
-    def lat(g):
-        rows = np.reshape(g, (-1, n))
-        if rows.shape[0] == 1:
-            return (np.concatenate((rows, rows)) @ table)[:1].reshape(np.shape(g))
-        return (rows @ table).reshape(np.shape(g))
-
-    return lat
-
-
-def evolve_batch(u0, drive, weights, tau, h, beta, dt, q, noise3, keep_states=False):
+def evolve_batch(params, u0, drive, table, noise3, keep_states=False):
     """Euler-integrate a batch of independent trials into an `Evolution`.
 
     `noise3` is (..., T, n) with any leading batch shape; `u0` and `drive`
-    broadcast to (..., n). `weights` is the (2n - 1,) kernel or its (n, n)
-    `toeplitz` table, which a caller that runs many batches builds once.
-    Each row takes T steps of
-    u += (dt/tau) * (-u + h + drive + lat(gate(beta*u)) + q*xi); a row that
-    stops being finite is flagged in `diverged` while the rest go on.
-    `max_u` and `n_above` come with the states, under `keep_states`.
+    broadcast to (..., n); `table` is the (n, n) `toeplitz` table of the
+    kernel, which a caller that runs many batches builds once. Each row
+    takes T steps of
+    u += (dt/tau) * (-u + h + drive + lat(gate(beta*u)) + q*xi), with tau, h,
+    beta, dt and q read from the `FieldParams`; a row that stops being finite
+    is flagged in `diverged` while the rest go on.
     """
     noise3 = np.asarray(noise3, dtype=np.float64)
     lead, (n_steps, n) = noise3.shape[:-2], noise3.shape[-2:]
     shape = lead + (n,)
     drive = np.asarray(drive, dtype=np.float64)
-    table = np.asarray(weights, dtype=np.float64)
-    if table.ndim == 1:
-        table = toeplitz(table)
-    r = dt / tau
+    h, beta, q = params.h, params.beta, params.q
+    r = params.dt / params.tau
     rows = math.prod(lead)
     # the gate and its product with the table, with one row padded to two
     gated = np.zeros((max(rows, 2), n))
@@ -143,8 +122,4 @@ def evolve_batch(u0, drive, weights, tau, h, beta, dt, q, noise3, keep_states=Fa
             np.multiply(r, bracket, out=bracket)
             u += bracket
             record(t + 1)
-    max_u = n_above = None
-    if states is not None:
-        max_u = states.max(axis=-1)
-        n_above = np.count_nonzero(states > 0.0, axis=-1)
-    return Evolution(u, max_u, n_above, first_step, first_pos, diverged, states)
+    return Evolution(u, first_step, first_pos, diverged, states)

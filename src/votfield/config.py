@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field as dc_field, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .field import FieldParams, _is_number
+from .field import FieldParams, _finite, _is_number
 from .readout import METHODS
 from .stimulus import GaussianInput
 
@@ -44,7 +44,7 @@ _INPUT_KEYS = tuple(f.name for f in fields(GaussianInput))
 def _as_number(key, val):
     if not _is_number(val):
         raise ConfigError(f"{key} must be a number, got {val!r}")
-    return float(val)
+    return _finite(key, val)
 
 
 def _as_int(key, val):

@@ -17,7 +17,7 @@ import numpy as np
 from . import backends
 from .config import RunConfig, SweepRange, default_config
 from .errors import ConfigError, IntegrationDivergedError
-from .field import _is_number, build_kernel, draw_noise, initial_state, trajectory_row
+from .field import _finite, build_kernel, draw_noise, initial_state, trajectories
 from .readout import readout_rows, row_result
 from .stimulus import compose_inputs
 
@@ -55,10 +55,7 @@ class Condition:
 
     def __post_init__(self):
         for key in ("a_target", "a_mp"):
-            val = getattr(self, key)
-            if not _is_number(val) or not np.isfinite(val):
-                raise ConfigError(f"{key} must be a finite number, got {val!r}")
-            object.__setattr__(self, key, float(val))
+            object.__setattr__(self, key, _finite(key, getattr(self, key)))
 
 
 @dataclass(frozen=True)
@@ -192,8 +189,8 @@ def _run_cells(cfg, conditions, keep_final=False):
             # the tile is a view; naming it would keep this chunk's noise
             # alive while the next chunk's is drawn
             run = backends.evolve_batch(
-                u0, drives[cells, None], table, params.tau, params.h, params.beta,
-                params.dt, params.q, np.broadcast_to(noise, (cells.stop - c0,) + noise.shape))
+                params, u0, drives[cells, None], table,
+                np.broadcast_to(noise, (cells.stop - c0,) + noise.shape))
             for c, j in zip(*np.nonzero(run.diverged >= 0)):  # each cell's trials in order
                 failed.setdefault(c0 + c, (int(run.diverged[c, j]), chunk[j]))
             if failed:
@@ -264,11 +261,8 @@ def run_batch(config=None, condition=None, n_trials=None, master_seed=None, meth
     return _sweep(cfg, (condition.a_target,), (condition.a_mp,)).cells[0]
 
 
-def _as_range(rng_like):
-    if isinstance(rng_like, SweepRange):
-        return rng_like
-    lo, hi, step = rng_like
-    return SweepRange(lo, hi, step)
+def _as_range(rng):
+    return rng if isinstance(rng, SweepRange) else SweepRange(*rng)
 
 
 def _sweep(cfg, a_target_values, a_mp_values):
@@ -321,11 +315,7 @@ def _example_trajectories(config, conditions, master_seed, trial_index=0):
     drives = np.array([compose_inputs(_condition_inputs(cfg, c), params.field_size)
                        for c in conditions])
     noise = draw_noise(params, np.random.default_rng(trial_seed(master_seed, trial_index)))
-    run = backends.evolve_batch(
-        initial_state(params).u, drives, build_kernel(params).weights, params.tau, params.h,
-        params.beta, params.dt, params.q, np.broadcast_to(noise, (len(drives),) + noise.shape),
-        keep_states=True)
-    return [trajectory_row(run, i) for i in range(len(drives))]
+    return trajectories(params, initial_state(params).u, drives, noise)
 
 
 def replicate_named(name, master_seed=None, config=None, n_trials=None, method=None):
@@ -351,7 +341,7 @@ def replicate_named(name, master_seed=None, config=None, n_trials=None, method=N
     a_target = cfg.input_by_label("target").a
     a_target_values, a_mp_values, highlight = _PRESETS[canonical]
     sweep = _sweep(cfg, a_target_values or (a_target,), a_mp_values)
-    trajectories = _example_trajectories(
+    examples = _example_trajectories(
         cfg, [Condition(a_target, a_mp) for a_mp in highlight.values()], cfg.master_seed)
     return ReplicationResult(name=canonical, sweep=sweep,
-                             trajectories=dict(zip(highlight, trajectories)))
+                             trajectories=dict(zip(highlight, examples)))

@@ -32,6 +32,13 @@ def _is_number(val):
         val, (int, float, np.integer, np.floating))
 
 
+def _finite(key, val):
+    """`val` as a float; a ConfigError naming `key` unless it is a finite number."""
+    if not _is_number(val) or not np.isfinite(val):
+        raise ConfigError(f"{key} must be a finite number, got {val!r}")
+    return float(val)
+
+
 @dataclass(frozen=True)
 class FieldParams:
     """Field constants plus discretization choices.
@@ -66,10 +73,7 @@ class FieldParams:
         floats = ("tau", "h", "beta", "c_exc", "c_inh", "c_glob", "sigma_exc",
                   "sigma_inh", "q", "dt", "noise_smooth_sigma")
         for key in floats:
-            val = getattr(self, key)
-            if not _is_number(val) or not np.isfinite(val):
-                raise ConfigError(f"{key} must be a finite number, got {val!r}")
-            object.__setattr__(self, key, float(val))
+            object.__setattr__(self, key, _finite(key, getattr(self, key)))
         if self.u_init is not None:
             if not _is_number(self.u_init) or not np.isfinite(self.u_init):
                 raise ConfigError(f"u_init must be a finite number or null, got {self.u_init!r}")
@@ -157,7 +161,7 @@ def lateral_input(state, kernel, beta):
         raise ConfigError(
             f"kernel table of length {kernel.weights.shape[0]} does not match "
             f"field_size {n} (expected {2 * n - 1})")
-    return backends.convolver(kernel.weights)(sigmoid_gate(state.u, beta))
+    return sigmoid_gate(state.u, beta) @ backends.toeplitz(kernel.weights)
 
 
 def _check_vector(name, vec, n):
@@ -169,15 +173,15 @@ def _check_vector(name, vec, n):
 
 @functools.lru_cache(maxsize=4)
 def _smoother(sigma, n):
-    """The `backends.convolver` of the smoothing weights, so that a run
-    builds its table once, not once per trial's draw."""
-    return backends.convolver(_smoothing_weights(sigma, n))
+    """The `backends.toeplitz` table of the smoothing weights, so that a run
+    builds it once, not once per trial's draw."""
+    return backends.toeplitz(_smoothing_weights(sigma, n))
 
 
 def _smoothing_weights(sigma, n):
     """Normalised Gaussian taps of radius int(4*sigma + 0.5) (as
-    scipy.ndimage.gaussian_filter1d tabulates them), laid out as a
-    `backends.convolver` table of length 2n - 1; taps past the grid would
+    scipy.ndimage.gaussian_filter1d tabulates them), laid out as
+    `backends.toeplitz` weights of length 2n - 1; taps past the grid would
     only meet the zero boundary and are dropped."""
     radius = int(4.0 * sigma + 0.5)
     x = np.arange(-radius, radius + 1)
@@ -207,7 +211,7 @@ def draw_noise(params, rng, out=None):
         return out
     rng.standard_normal(shape, out=out)
     if params.noise_smooth_sigma > 0:
-        out[...] = _smoother(params.noise_smooth_sigma, params.field_size)(out)
+        out[...] = out @ _smoother(params.noise_smooth_sigma, params.field_size)
     return out
 
 
@@ -238,7 +242,7 @@ def evolve(initial, inputs, params, rng, *, keep_states=True):
     `rng` is a seeded numpy Generator supplying the noise stream (or None for
     a zero noise matrix). With keep_states=False only the final state and
     per-step summaries (max activation, above-threshold count) are kept;
-    the engine reads the summaries off the states, so it keeps them anyway.
+    the summaries are read off the states, so those are computed anyway.
     """
     if initial is None:
         initial = initial_state(params)
@@ -246,24 +250,28 @@ def evolve(initial, inputs, params, rng, *, keep_states=True):
     if initial.u.shape[0] != n:
         raise ConfigError(f"initial state has {initial.u.shape[0]} neurons, params expect {n}")
     inputs = _check_vector("inputs", inputs, n)
-    noise = draw_noise(params, rng)
-    run = backends.evolve_batch(initial.u, inputs, build_kernel(params).weights, params.tau,
-                                params.h, params.beta, params.dt, params.q, noise[None],
-                                keep_states=True)
-    traj = trajectory_row(run, 0)
+    (traj,) = trajectories(params, initial.u, inputs[None], draw_noise(params, rng))
     if not keep_states:
         traj.states = None
     return traj
 
 
-def trajectory_row(run, row):
-    """The `Trajectory` of one row of an `Evolution`; raises
-    IntegrationDivergedError (with its step only) if that row diverged."""
-    if run.diverged[row] >= 0:
-        raise IntegrationDivergedError(step=int(run.diverged[row]))
-    crossed = run.first_step[row] >= 0
-    return Trajectory(states=(None if run.states is None else run.states[row]),
-                      final=FieldState(run.final[row]),
-                      max_u=run.max_u[row], n_above=run.n_above[row],
-                      first_cross_step=(int(run.first_step[row]) if crossed else None),
-                      first_cross_pos=(int(run.first_pos[row]) if crossed else None))
+def trajectories(params, u0, drives, noise):
+    """The `Trajectory` of each row of the (rows, n) `drives`, run from `u0`
+    as one engine batch on one trial's (n_steps, n) `noise`; the first
+    diverging row raises IntegrationDivergedError (with its step only)."""
+    table = backends.toeplitz(build_kernel(params).weights)
+    run = backends.evolve_batch(params, u0, drives, table,
+                                np.broadcast_to(noise, (len(drives),) + noise.shape),
+                                keep_states=True)
+    out = []
+    for row, states in enumerate(run.states):
+        if run.diverged[row] >= 0:
+            raise IntegrationDivergedError(step=int(run.diverged[row]))
+        crossed = run.first_step[row] >= 0
+        out.append(Trajectory(
+            states=states, final=FieldState(run.final[row]),
+            max_u=states.max(axis=1), n_above=np.count_nonzero(states > 0.0, axis=1),
+            first_cross_step=(int(run.first_step[row]) if crossed else None),
+            first_cross_pos=(int(run.first_pos[row]) if crossed else None)))
+    return out

@@ -51,17 +51,15 @@ def emit_sweep_csv(result, path):
     return path
 
 
-def emit_trajectory_csv(traj, path, summary_path=None):
+def emit_trajectory_csv(traj, path):
     """Long-format (step, x, u) dump plus a per-step summary file
-    (step, max_u, n_above_threshold); the summary lands next to `path` with
-    an `_summary` suffix unless given explicitly."""
+    (step, max_u, n_above_threshold), which lands next to `path` with an
+    `_summary` suffix."""
     if traj.states is None:
         raise ConfigError("trajectory has no per-step states (memory-lean mode); "
                           "re-run with keep_states=True to export it")
     path = _open_csv(path)
-    if summary_path is None:
-        summary_path = path.with_name(path.stem + "_summary" + path.suffix)
-    summary_path = _open_csv(summary_path)
+    summary_path = path.with_name(path.stem + "_summary" + path.suffix)
     # one %-template per step row, "t,0,%r\nt,1,%r\n...": repr of each value
     # is the only per-value work, and one row at a time is held
     lines = [f",{x},%r\n" for x in range(traj.states.shape[1])]

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .field import _finite
 
 logger = logging.getLogger(__name__)
 
@@ -31,13 +32,8 @@ class GaussianInput:
 
     def __post_init__(self):
         for key in ("a", "p", "w"):
-            val = getattr(self, key)
-            if (isinstance(val, bool) or not isinstance(val, (int, float, np.integer,
-                                                              np.floating))
-                    or not np.isfinite(val)):
-                raise ConfigError(f"input {self.label or key!r}: {key} must be a finite "
-                                  f"number, got {val!r}")
-            object.__setattr__(self, key, float(val))
+            val = _finite(f"input {self.label or key!r}: {key}", getattr(self, key))
+            object.__setattr__(self, key, val)
         if self.w <= 0:
             raise ConfigError(f"input {self.label or 'gaussian'!r}: w must be > 0, got {self.w}")
 

@@ -19,24 +19,22 @@ import votfield
 from votfield import (FieldParams, FieldState, GaussianInput, build_kernel,
                       compose_inputs, initial_state, kernel_value,
                       lateral_input, sigmoid_gate)
-from votfield.backends import convolver, evolve_batch, gate
+from votfield.backends import evolve_batch, gate, toeplitz
 
 PARAMS = FieldParams()
+TABLE = toeplitz(build_kernel(PARAMS).weights)
 DRIVE = compose_inputs([GaussianInput(6.0, 70.0, 30.0, "target"),
                         GaussianInput(-3.0, 20.0, 30.0, "mp")], 200)
 
 
 def _run(noise3, u0=None):
-    # with the states, which the per-step max_u and n_above are read from
-    p = PARAMS
-    u0 = initial_state(p).u if u0 is None else u0
-    return evolve_batch(u0, DRIVE, build_kernel(p).weights, p.tau, p.h, p.beta, p.dt,
-                        p.q, noise3, keep_states=True)
+    u0 = initial_state(PARAMS).u if u0 is None else u0
+    return evolve_batch(PARAMS, u0, DRIVE, TABLE, noise3, keep_states=True)
 
 
 def _rows(run, rows):
-    return [(run.final[k], run.max_u[k], run.n_above[k], run.first_step[k],
-             run.first_pos[k], run.diverged[k]) for k in rows]
+    return [(run.final[k], run.states[k], run.first_step[k], run.first_pos[k],
+             run.diverged[k]) for k in rows]
 
 
 def _assert_rows_equal(a, b):
@@ -79,16 +77,16 @@ _THREAD_RUN = """
 import sys
 import numpy as np
 from votfield import FieldParams, GaussianInput, build_kernel, compose_inputs, initial_state
-from votfield.backends import evolve_batch
+from votfield.backends import evolve_batch, toeplitz
 
 p = FieldParams()
 drive = compose_inputs([GaussianInput(6.0, 70.0, 30.0, "target"),
                         GaussianInput(-3.0, 20.0, 30.0, "mp")], 200)
 noise3 = np.random.default_rng(12).standard_normal((128, p.n_steps, 200))
-run = evolve_batch(initial_state(p).u, drive, build_kernel(p).weights, p.tau, p.h,
-                   p.beta, p.dt, p.q, noise3, keep_states=True)
+run = evolve_batch(p, initial_state(p).u, drive, toeplitz(build_kernel(p).weights), noise3,
+                   keep_states=True)
 with open(sys.argv[1], "wb") as out:
-    for field in (run.final, run.max_u, run.n_above, run.first_step, run.first_pos):
+    for field in (run.final, run.states, run.first_step, run.first_pos):
         out.write(field.tobytes())
 """
 
@@ -106,7 +104,7 @@ def test_batch_bits_do_not_depend_on_blas_thread_count(tmp_path):
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         outputs.append(path.read_bytes())
-    assert len(outputs[0]) == 128 * (200 + 2 * (PARAMS.n_steps + 1) + 2) * 8
+    assert len(outputs[0]) == 128 * (200 + (PARAMS.n_steps + 1) * 200 + 2) * 8
     assert outputs[0] == outputs[1]
 
 
@@ -131,8 +129,7 @@ def test_one_step_matches_hand_computed_update():
     u0 = np.linspace(-2.0, 1.5, 8)
     drive = np.linspace(0.0, 3.5, 8)
     noise = np.linspace(-1.0, 1.0, 8)
-    run = evolve_batch(u0, drive, build_kernel(p).weights, p.tau, p.h, p.beta, p.dt,
-                       p.q, noise[None, None])
+    run = evolve_batch(p, u0, drive, toeplitz(build_kernel(p).weights), noise[None, None])
     g = sigmoid_gate(u0, p.beta)
     for i in range(8):
         lat = sum(kernel_value(float(i - j), p) * g[j] for j in range(8))
@@ -150,16 +147,15 @@ def test_engine_matches_the_literal_update_bit_for_bit(q):
     p = dataclasses.replace(PARAMS, q=q)
     noise3 = np.random.default_rng(13).standard_normal((128, p.n_steps, 200))
     noise3[5, 3, 10], noise3[6, 0, 50], noise3[7, 40, 100] = np.inf, -1e308, np.nan
-    weights = build_kernel(p).weights
-    run = evolve_batch(initial_state(p).u, DRIVE, weights, p.tau, p.h, p.beta, p.dt,
-                       p.q, noise3, keep_states=True)
-    lat, r = convolver(weights), p.dt / p.tau
+    table = toeplitz(build_kernel(p).weights)
+    run = evolve_batch(p, initial_state(p).u, DRIVE, table, noise3, keep_states=True)
+    r = p.dt / p.tau
     u = np.broadcast_to(initial_state(p).u, (128, 200))
     states = [u]
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(p.n_steps):
             xi = noise3[:, t]
-            u = u + r * (-u + p.h + DRIVE + lat(gate(p.beta * u)) + p.q * xi)
+            u = u + r * (-u + p.h + DRIVE + gate(p.beta * u) @ table + p.q * xi)
             states.append(u)
     assert np.stack(states, axis=1).tobytes() == run.states.tobytes()
     assert u.tobytes() == run.final.tobytes()
@@ -176,14 +172,12 @@ def test_cell_tile_rows_equal_flat_runs():
     drives = np.array([compose_inputs([GaussianInput(a_t, 70.0, 30.0, "target"),
                                        GaussianInput(a_mp, 20.0, 30.0, "mp")], 200)
                        for a_t, a_mp in ((6.0, -6.0), (6.0, 0.0), (8.0, 3.0))])
-    weights = build_kernel(p).weights
 
     def run(drive, noise3):
-        return evolve_batch(initial_state(p).u, drive, weights, p.tau, p.h, p.beta,
-                            p.dt, p.q, noise3, keep_states=True)
+        return evolve_batch(p, initial_state(p).u, drive, TABLE, noise3, keep_states=True)
 
     tile = run(drives[:, None], np.broadcast_to(noise, (3,) + noise.shape))
-    assert tile.final.shape == (3, 7, 200) and tile.max_u.shape == (3, 7, p.n_steps + 1)
+    assert tile.final.shape == (3, 7, 200) and tile.states.shape == (3, 7, p.n_steps + 1, 200)
     assert np.all(tile.diverged[:, 3] == 21)
     assert np.all(np.delete(tile.diverged, 3, axis=1) == -1)
     assert len({tuple(r) for r in tile.first_step.tolist()}) == 3  # cells do differ

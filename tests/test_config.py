@@ -1,6 +1,7 @@
 """Config loading, label-based merging, validation, canonical serialization."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,15 @@ def test_sweep_range_builds_inclusive_grid():
         SweepRange(0.0, 1.0, 0.0)
     with pytest.raises(ConfigError, match="lo"):
         SweepRange(3.0, 1.0, 0.5)
+    for key, val in (("lo", math.nan), ("hi", math.inf), ("lo", -math.inf),
+                     ("step", math.nan), ("step", math.inf)):
+        with pytest.raises(ConfigError, match=f"sweep {key} must be a finite number"):
+            SweepRange(**{"lo": 0.0, "hi": 1.0, "step": 0.5, key: val})
+    # Python's json reads the NaN and Infinity literals
+    for text in ('{"sweep": {"a_mp": {"lo": NaN}}}', '{"sweep": {"a_mp": {"hi": Infinity}}}',
+                 '{"sweep": {"a_target": {"lo": -Infinity}}}'):
+        with pytest.raises(ConfigError, match="sweep (lo|hi) must be a finite number"):
+            config_from_dict(json.loads(text))
 
 
 def test_shipped_defaults_file_matches_resolved_empty_config():

@@ -169,6 +169,8 @@ def test_trajectory_indexing_and_lean_mode_agree_bitwise():
     assert full.states.shape == (PARAMS.n_steps + 1, PARAMS.field_size)
     assert np.all(full.states[0] == PARAMS.h)
     assert np.array_equal(full.states[-1], full.final.u)
+    assert np.array_equal(full.max_u, full.states.max(axis=1))
+    assert np.array_equal(full.n_above, np.count_nonzero(full.states > 0, axis=1))
     assert lean.states is None
     assert np.array_equal(full.final.u, lean.final.u)  # identical arithmetic path
     assert np.array_equal(full.max_u, lean.max_u)

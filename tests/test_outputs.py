@@ -101,12 +101,6 @@ def test_trajectory_csv_long_format_and_summary(traj, tmp_path):
     assert int(last[2]) == traj.n_above[-1]
 
 
-def test_trajectory_csv_explicit_summary_path(traj, tmp_path):
-    path, spath = emit_trajectory_csv(traj, tmp_path / "t.csv",
-                                      summary_path=tmp_path / "sum.csv")
-    assert spath == tmp_path / "sum.csv" and spath.is_file()
-
-
 def test_trajectory_csv_requires_states(lean_traj, tmp_path):
     with pytest.raises(ConfigError, match="keep_states"):
         emit_trajectory_csv(lean_traj, tmp_path / "t.csv")
