@@ -23,7 +23,7 @@ losslessly.
 
 import json
 import math
-from dataclasses import asdict, dataclass, field as dc_field, fields
+from dataclasses import InitVar, asdict, dataclass, field as dc_field, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -55,19 +55,22 @@ def _as_int(key, val):
 
 @dataclass(frozen=True)
 class SweepRange:
-    """Inclusive amplitude grid lo, lo+step, ..., hi."""
+    """Inclusive amplitude grid lo, lo+step, ..., hi. `name` ("a_mp" or
+    "a_target") is not stored; it names the range in error messages."""
 
     lo: float
     hi: float
     step: float
+    name: InitVar[str] = ""
 
-    def __post_init__(self):
+    def __post_init__(self, name):
+        where = f"sweep {name}" if name else "sweep"
         for key in _RANGE_KEYS:
-            object.__setattr__(self, key, _as_number(f"sweep {key}", getattr(self, key)))
+            object.__setattr__(self, key, _as_number(f"{where} {key}", getattr(self, key)))
         if self.step <= 0:
-            raise ConfigError(f"sweep step must be > 0, got {self.step}")
+            raise ConfigError(f"{where} step must be > 0, got {self.step}")
         if self.lo > self.hi:
-            raise ConfigError(f"sweep lo must be <= hi, got lo={self.lo} hi={self.hi}")
+            raise ConfigError(f"{where} lo must be <= hi, got lo={self.lo} hi={self.hi}")
 
     def values(self):
         n = int(math.floor((self.hi - self.lo) / self.step + 1e-9))
@@ -166,7 +169,8 @@ def _merge_range(raw, base, name):
     if raw is None:
         return base
     _check_keys(raw, _RANGE_KEYS, f"sweep {name}")
-    return SweepRange(**{key: raw.get(key, getattr(base, key)) for key in _RANGE_KEYS})
+    return SweepRange(**{key: raw.get(key, getattr(base, key)) for key in _RANGE_KEYS},
+                      name=name)
 
 
 def config_from_dict(raw):

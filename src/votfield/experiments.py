@@ -9,7 +9,11 @@ of trials draws its noise once and runs every cell on it, as (cells, trials)
 tiles through the engine. A batch is the one-cell case of a sweep.
 """
 
+import contextlib
+import ctypes
+import functools
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -147,16 +151,62 @@ def _condition_inputs(cfg, condition):
     return tuple(inputs)
 
 
+@functools.cache
+def _blas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy's
+    wheel bundles, or None where a second Python thread cannot help: on one
+    core, or under another BLAS (the symbols are private to the wheel's
+    scipy-openblas build)."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    if cores < 2:
+        return None
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@contextlib.contextmanager
+def _second_thread(n_trials):
+    """A one-worker pool for the second half of every chunk, with numpy's
+    OpenBLAS held at one thread until the worker is done; None, and the
+    BLAS left alone, for the serial path (`_blas_threads` is None, or a
+    single trial)."""
+    blas = _blas_threads() if n_trials > 1 else None
+    if blas is None:
+        yield None
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    get, put = blas
+    old = get()
+    put(1)
+    try:
+        with ThreadPoolExecutor(1) as pool:
+            yield pool
+    finally:
+        put(old)
+
+
 def _run_cells(cfg, conditions, keep_final=False):
     """Run trials 0..n_trials-1 of every condition in one pass over trial
     chunks.
 
     Each chunk's seeds and noise are drawn once and shared by every cell
     (common random numbers) and released before the next chunk's is drawn,
-    so a run holds one chunk of noise. Groups of cells go through the engine
-    as one (cells, trials) tile of at most _CHUNK rows. Returns the trial
-    seeds and per-cell (C, n) arrays of `readout_rows`, plus
-    (C, n, field_size) final fields when `keep_final` is set.
+    so a run holds one chunk of noise. Where `_blas_threads` allows, the
+    chunk's trials are split in two halves: this thread takes the first and
+    a worker thread the second, each drawing its trials' noise into their
+    rows and running every cell on them, with the BLAS at one thread. Groups
+    of cells go through the engine as one (cells, trials) tile of at most
+    _CHUNK rows; a row's bits depend on neither. Returns the trial seeds and
+    per-cell (C, n) arrays of `readout_rows`, plus (C, n, field_size) final
+    fields when `keep_final` is set.
 
     Raises the IntegrationDivergedError of the first diverging cell in
     condition order, at its first diverging trial.
@@ -173,41 +223,60 @@ def _run_cells(cfg, conditions, keep_final=False):
     stab = np.empty((n_cells, n), bool)
     final = np.empty((n_cells, n, params.field_size)) if keep_final else None
     failed = {}  # cell -> (step, seed) of its first diverging trial
-    for start in range(0, n, _CHUNK):
-        live = min(failed, default=n_cells)  # later cells cannot be the one reported
-        if not live:
-            break
-        chunk = [trial_seed(master, i) for i in range(start, min(n, start + _CHUNK))]
-        seeds += chunk
-        k = len(chunk)
-        noise = np.empty((k, params.n_steps, params.field_size))
-        for j, seed in enumerate(chunk):
-            draw_noise(params, np.random.default_rng(seed), out=noise[j])
-        group = max(1, _CHUNK // k)
+
+    def run_half(noise, chunk, start, live, lo, hi):
+        """Draw the noise of the chunk's trials lo..hi-1 (trial 0's is drawn
+        already) and run cells 0..live-1 on them; returns (cell, step, seed)
+        of each diverging row, in (cell, trial) order."""
+        for j in range(max(lo, 1), hi):
+            draw_noise(params, np.random.default_rng(chunk[j]), out=noise[j])
+        group = max(1, _CHUNK // (hi - lo))
+        bad = []
         for c0 in range(0, live, group):
             cells = slice(c0, min(c0 + group, live))
             # the tile is a view; naming it would keep this chunk's noise
             # alive while the next chunk's is drawn
             run = backends.evolve_batch(
                 params, u0, drives[cells, None], table,
-                np.broadcast_to(noise, (cells.stop - c0,) + noise.shape))
-            for c, j in zip(*np.nonzero(run.diverged >= 0)):  # each cell's trials in order
-                failed.setdefault(c0 + c, (int(run.diverged[c, j]), chunk[j]))
-            if failed:
+                np.broadcast_to(noise[lo:hi], (cells.stop - c0, hi - lo) + noise.shape[1:]))
+            bad += [(c0 + c, int(run.diverged[c, j]), chunk[lo + j])
+                    for c, j in zip(*np.nonzero(run.diverged >= 0))]
+            if failed or bad:
                 continue  # the run raises; nothing more is read out
-            rows = (cells, slice(start, start + k))
+            rows = (cells, slice(start + lo, start + hi))
             vot[rows], ttt[rows], stab[rows] = readout_rows(
                 run.final, run.first_step, run.first_pos, cfg.readout)
             if keep_final:
                 final[rows] = run.final
-        # Free this chunk's noise before the next is drawn. A fresh array per
-        # chunk, not one reused buffer: freeing it lets glibc raise its mmap
-        # threshold above the engine's buffers (205 kB each at 128 rows),
-        # which under a held buffer stay mmaps with fresh page faults on every
-        # engine call (on a 2-core host, when they were per-step temporaries,
-        # replicate fig6 --trials 500 took 4.5x the page faults and 5-41%
-        # longer that way).
-        del noise
+        return bad
+
+    with _second_thread(n) as pool:
+        for start in range(0, n, _CHUNK):
+            live = min(failed, default=n_cells)  # later cells cannot be the one reported
+            if not live:
+                break
+            chunk = [trial_seed(master, i) for i in range(start, min(n, start + _CHUNK))]
+            seeds += chunk
+            k = len(chunk)
+            noise = np.empty((k, params.n_steps, params.field_size))
+            # trial 0 on this thread before the worker starts, so that a
+            # table draw_noise caches (the smoothing one) is built once
+            draw_noise(params, np.random.default_rng(chunk[0]), out=noise[0])
+            mid = (k + 1) // 2 if pool and k > 1 else k
+            second = pool.submit(run_half, noise, chunk, start, live, mid, k) if mid < k else None
+            bad = run_half(noise, chunk, start, live, 0, mid)
+            if second:
+                bad += second.result()
+            for c, step, seed in bad:  # (half, cell group) order
+                failed.setdefault(c, (step, seed))
+            # Free this chunk's noise before the next is drawn. A fresh array
+            # per chunk, not one reused buffer: freeing it lets glibc raise
+            # its mmap threshold above the engine's buffers (205 kB each at
+            # 128 rows), which under a held buffer stay mmaps with fresh page
+            # faults on every engine call (on a 2-core host, when they were
+            # per-step temporaries, replicate fig6 --trials 500 took 4.5x the
+            # page faults and 5-41% longer that way).
+            del noise
     if failed:
         step, seed = failed[min(failed)]
         raise IntegrationDivergedError(step=step, seed=seed)

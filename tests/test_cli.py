@@ -127,10 +127,12 @@ def test_bad_config_exits_one_with_stderr_message(tmp_path, capsys):
     assert code == 1
     assert "tau" in err and out == ""
 
-    bad.write_text('{"sweep": {"a_mp": {"lo": NaN}}}')  # a literal Python's json accepts
-    code, out, err = run_cli(["sweep1d", "--config", str(bad)], capsys)
-    assert code == 1 and out == ""
-    assert err.startswith("error: sweep lo must be a finite number")
+    # literals Python's json accepts; the error names the range
+    for cmd, name, literal in (("sweep1d", "a_mp", "NaN"), ("sweep2d", "a_target", "-Infinity")):
+        bad.write_text(f'{{"sweep": {{"{name}": {{"lo": {literal}}}}}}}')
+        code, out, err = run_cli([cmd, "--config", str(bad)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: sweep {name} lo must be a finite number")
 
     code, _, err = run_cli(["batch", "--config", str(tmp_path / "nope.json")], capsys)
     assert code == 1 and "not found" in err

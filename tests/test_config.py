@@ -146,10 +146,15 @@ def test_sweep_range_builds_inclusive_grid():
                      ("step", math.nan), ("step", math.inf)):
         with pytest.raises(ConfigError, match=f"sweep {key} must be a finite number"):
             SweepRange(**{"lo": 0.0, "hi": 1.0, "step": 0.5, key: val})
-    # Python's json reads the NaN and Infinity literals
-    for text in ('{"sweep": {"a_mp": {"lo": NaN}}}', '{"sweep": {"a_mp": {"hi": Infinity}}}',
-                 '{"sweep": {"a_target": {"lo": -Infinity}}}'):
-        with pytest.raises(ConfigError, match="sweep (lo|hi) must be a finite number"):
+    # a config file's error names the range; Python's json reads the NaN and
+    # Infinity literals
+    for text, msg in (('{"sweep": {"a_mp": {"lo": NaN}}}', "sweep a_mp lo must be a finite"),
+                      ('{"sweep": {"a_mp": {"hi": Infinity}}}', "sweep a_mp hi must be a finite"),
+                      ('{"sweep": {"a_target": {"lo": -Infinity}}}',
+                       "sweep a_target lo must be a finite"),
+                      ('{"sweep": {"a_target": {"step": 0}}}', "sweep a_target step must be > 0"),
+                      ('{"sweep": {"a_mp": {"lo": 5}}}', "sweep a_mp lo must be <= hi")):
+        with pytest.raises(ConfigError, match=f"^{msg}"):
             config_from_dict(json.loads(text))
 
 

@@ -1,6 +1,10 @@
 """Batches, sweeps, the seeding scheme, and named replication campaigns."""
 
 import dataclasses
+import math
+import sys
+import threading
+import time
 import tracemalloc
 from functools import partial
 
@@ -240,15 +244,17 @@ def test_a_run_holds_one_chunk_of_noise():
 
 
 def test_a_sweep_builds_the_lateral_table_once(monkeypatch):
-    # 10 trials in chunks of 4, 4 and 2 over 3 cells are 3 + 3 + 2 tiles of
-    # at most 4 rows: 8 engine calls, all on one table
-    calls = {"toeplitz": 0, "evolve_batch": 0}
+    # 10 trials in chunks of 4, 4 and 2 over 3 cells, all on one table. Each
+    # chunk's two halves (of 2, 2 and 1 trials) run the cells in tiles of at
+    # most 4 rows: 2 + 2 + 1 engine calls per half, 10 in all. The serial
+    # path runs each chunk whole: 3 + 3 + 2 tiles, 8 calls.
+    calls = {"toeplitz": [], "evolve_batch": []}  # list.append is atomic
 
     def counted(name):
         fn = getattr(backends, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name].append(1)
             return fn(*args, **kwargs)
         return wrapper
 
@@ -257,7 +263,9 @@ def test_a_sweep_builds_the_lateral_table_once(monkeypatch):
     monkeypatch.setattr(experiments, "_CHUNK", 4)
     cfg = dataclasses.replace(default_config(), n_trials=10)
     experiments._sweep(cfg, (6.0,), (-3.0, 0.0, 3.0))
-    assert calls == {"toeplitz": 1, "evolve_batch": 8}
+    engine_calls = 8 if experiments._blas_threads() is None else 10
+    assert {k: len(v) for k, v in calls.items()} == {"toeplitz": 1,
+                                                     "evolve_batch": engine_calls}
 
 
 def test_a_smoothed_run_builds_the_noise_table_once(monkeypatch):
@@ -321,6 +329,136 @@ def test_sweep_divergence_matches_cell_by_cell_order(monkeypatch):
     with pytest.raises(IntegrationDivergedError) as err:  # the first kick alone
         experiments._sweep(cfg, (1e308,), (0.0,))
     assert (err.value.step, err.value.seed) == (1, trial_seed(1, 1))
+
+
+@pytest.mark.parametrize("chunk", [7, 128])
+def test_two_threads_give_the_serial_bits(monkeypatch, chunk):
+    # 15 trials are chunks of 7, 7 and 1 at _CHUNK 7 (halves of 4 and 3, and
+    # a lone trial that runs serially) and one chunk of 15 at _CHUNK 128
+    # (halves of 8 and 7); a short switch interval interleaves the threads
+    monkeypatch.setattr(experiments, "_CHUNK", chunk)
+    cfg = dataclasses.replace(default_config(), n_trials=15, master_seed=4)
+    conditions = [Condition(6.0, a) for a in (-6.0, -3.0, 0.0, 2.5, 4.0)]
+    on_main = set()
+    engine = backends.evolve_batch
+
+    def noted(*args, **kwargs):
+        on_main.add(threading.current_thread() is threading.main_thread())
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(backends, "evolve_batch", noted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        two = experiments._run_cells(cfg, conditions)
+        two_trials = run_trials(cfg, Condition(6.0, -3.0))
+    finally:
+        sys.setswitchinterval(interval)
+    assert on_main == ({True} if experiments._blas_threads() is None else {True, False})
+    monkeypatch.setattr(experiments, "_blas_threads", lambda: None)  # as with no setter
+    one = experiments._run_cells(cfg, conditions)
+    assert two[0] == one[0]  # seeds
+    for a, b in zip(two[1:4], one[1:4]):  # vot, ttt, stab
+        assert a.tobytes() == b.tobytes()
+    for a, b in zip(two_trials, run_trials(cfg, Condition(6.0, -3.0))):
+        assert a.final_u.tobytes() == b.final_u.tobytes()
+        assert (a.seed, a.time_to_threshold, a.stabilized) == (b.seed, b.time_to_threshold,
+                                                               b.stabilized)
+
+
+def test_a_run_restores_the_blas_thread_count(monkeypatch):
+    # With the real setter where numpy's OpenBLAS has one, else a stand-in,
+    # set to 2 so that a run left at one thread shows: the engine runs at one
+    # BLAS thread and the 2 comes back after a run that returns, diverges or
+    # raises in the worker thread
+    count = [3]
+    get, put = experiments._blas_threads() or (lambda: count[0],
+                                                lambda k: count.__setitem__(0, k))
+    monkeypatch.setattr(experiments, "_blas_threads", lambda: (get, put))
+    seen = []
+    engine = backends.evolve_batch
+
+    def noted(*args, **kwargs):
+        seen.append(get())
+        return engine(*args, **kwargs)
+
+    def failing(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("engine failed")
+        return engine(*args, **kwargs)
+
+    outside = get()
+    put(2)
+    try:
+        monkeypatch.setattr(backends, "evolve_batch", noted)
+        run_batch(n_trials=6)
+        assert seen and set(seen) == {1}
+        assert get() == 2
+        cfg = default_config()
+        cfg = dataclasses.replace(cfg, field=dataclasses.replace(cfg.field, tau=0.01))
+        with pytest.raises(IntegrationDivergedError):
+            run_trials(cfg, Condition(1e308, 0.0), n_trials=4)
+        assert get() == 2
+        monkeypatch.setattr(backends, "evolve_batch", failing)
+        with pytest.raises(RuntimeError, match="engine failed"):
+            run_batch(n_trials=6)
+        assert get() == 2
+    finally:
+        put(outside)
+
+
+def test_two_threads_build_the_smoothing_table_once(monkeypatch):
+    # A slow build would let both threads of a chunk miss draw_noise's table
+    # cache; trial 0 is drawn before the worker starts, so only the lateral
+    # table and one smoothing table are built
+    cfg = dataclasses.replace(default_config(), n_trials=6)
+    cfg = dataclasses.replace(cfg, field=dataclasses.replace(cfg.field, noise_smooth_sigma=1.5))
+    builds = []
+    toeplitz = backends.toeplitz
+
+    def slow(weights):
+        builds.append(1)
+        time.sleep(0.05)
+        return toeplitz(weights)
+
+    monkeypatch.setattr(backends, "toeplitz", slow)
+    field._smoother.cache_clear()
+    run_batch(cfg)
+    assert len(builds) == 2
+
+
+def test_a_divergence_in_a_chunks_second_half_reports_its_own_seed(monkeypatch):
+    # One chunk of 8 trials runs as halves 0-3 and 4-7. A NaN in a trial's
+    # noise at step t diverges every cell at step t + 1; a 1e308 kick at
+    # neuron 20 and step 0 only where a_mp is ~1e308 too.
+    kicks = {}  # seed -> (step, neuron, value)
+
+    def kicked_noise(params, rng, out=None):
+        noise = draw_noise(params, rng, out=out)
+        kick = kicks.get(rng.bit_generator.seed_seq.entropy)
+        if kick is not None:
+            noise[kick[:2]] = kick[2]
+        return noise
+
+    monkeypatch.setattr(experiments, "draw_noise", kicked_noise)
+    monkeypatch.setattr(experiments, "_CHUNK", 8)
+    cfg = dataclasses.replace(default_config(), n_trials=8)
+
+    def first_divergence():
+        with pytest.raises(IntegrationDivergedError) as err:
+            experiments._sweep(cfg, (6.0,), (0.0, 1e308))
+        return err.value.step, err.value.seed
+
+    kicks[trial_seed(1, 6)] = (30, 100, math.nan)
+    assert first_divergence() == (31, trial_seed(1, 6))
+    # the first half's trial 1 diverges in the second cell only, so the
+    # first cell's trial 6 is still the one reported
+    kicks[trial_seed(1, 1)] = (0, 20, 1e308)
+    assert first_divergence() == (31, trial_seed(1, 6))
+    # a first-half trial of the first cell is reported before trial 6, though
+    # its step is later
+    kicks[trial_seed(1, 2)] = (60, 100, math.nan)
+    assert first_divergence() == (61, trial_seed(1, 2))
 
 
 def test_condition_requires_target_and_mp_labels():
