@@ -52,7 +52,7 @@ def toeplitz(weights):
     return w[idx[None, :] - idx[:, None] + n - 1]
 
 
-def evolve_batch(params, u0, drive, table, noise3, keep_states=False):
+def evolve_batch(params, u0, drive, table, noise3, keep_states=False, carry=None, t0=0):
     """Euler-integrate a batch of independent trials into an `Evolution`.
 
     `noise3` is (..., T, n) with any leading batch shape; `u0` and `drive`
@@ -62,6 +62,13 @@ def evolve_batch(params, u0, drive, table, noise3, keep_states=False):
     u += (dt/tau) * (-u + h + drive + lat(gate(beta*u)) + q*xi), with tau, h,
     beta, dt and q read from the `FieldParams`; a row that stops being finite
     is flagged in `diverged` while the rest go on.
+
+    A run can go block of steps by block: `carry`, the `Evolution` of the
+    same rows' steps before `t0`, gives the field to go on from (instead of
+    `u0`) and the crossings and divergences found so far; its arrays are
+    updated in place. Steps are numbered from `t0`, so the blocks' bits and
+    step numbers are those of one call over all the steps. `states` holds
+    this call's fields, from the one at step `t0` on.
     """
     noise3 = np.asarray(noise3, dtype=np.float64)
     lead, (n_steps, n) = noise3.shape[:-2], noise3.shape[-2:]
@@ -74,19 +81,22 @@ def evolve_batch(params, u0, drive, table, noise3, keep_states=False):
     gated = np.zeros((max(rows, 2), n))
     lateral = np.empty_like(gated)
     g, lat = gated[:rows].reshape(shape), lateral[:rows].reshape(shape)
-    # a C-ordered state: a copy of a broadcast u0 would be Fortran-ordered
-    # and every op mixing it with the C-ordered terms would run strided
-    u = np.empty(shape)
-    u[...] = u0
+    if carry is None:
+        # a C-ordered state: a copy of a broadcast u0 would be Fortran-ordered
+        # and every op mixing it with the C-ordered terms would run strided
+        u = np.empty(shape)
+        u[...] = u0
+        first_step, first_pos, diverged = np.full((3,) + lead, -1, np.int64)
+    else:
+        u, first_step, first_pos, diverged = carry[:4]
     bracket = np.empty(shape)
-    first_step, first_pos, diverged = np.full((3,) + lead, -1, np.int64)
     states = np.empty(lead + (n_steps + 1, n)) if keep_states else None
-    waiting = True  # some row has not crossed yet
+    waiting = bool((first_step < 0).any())  # some row has not crossed yet
 
     def record(t):
         nonlocal waiting
         if states is not None:
-            states[..., t, :] = u
+            states[..., t - t0, :] = u
         if waiting:
             above = u > 0.0
             new = (first_step < 0) & above.any(axis=-1)
@@ -100,26 +110,25 @@ def evolve_batch(params, u0, drive, table, noise3, keep_states=False):
         if t and not np.isfinite(u.sum()):
             diverged[(diverged < 0) & ~np.isfinite(u).all(axis=-1)] = t
 
-    record(0)
     # rows that diverged go on as inf/nan without touching the others
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(n_steps):
+        record(t0)
+        for k in range(n_steps):
             np.multiply(beta, u, out=g)  # gate(beta * u), as `gate` computes it
             np.multiply(0.5, g, out=g)
             np.tanh(g, out=g)
             np.add(1.0, g, out=g)
             np.multiply(0.5, g, out=g)
             np.matmul(gated, table, out=lateral)
-            np.negative(u, out=bracket)
-            bracket += h
+            np.subtract(h, u, out=bracket)  # -u + h, bit for bit
             bracket += drive
             bracket += lat
             if q == 1.0:  # q * xi is xi, bit for bit
-                bracket += noise3[..., t, :]
+                bracket += noise3[..., k, :]
             else:
-                np.multiply(q, noise3[..., t, :], out=lat)  # in the spent product's place
+                np.multiply(q, noise3[..., k, :], out=lat)  # in the spent product's place
                 bracket += lat
             np.multiply(r, bracket, out=bracket)
             u += bracket
-            record(t + 1)
+            record(t0 + k + 1)
     return Evolution(u, first_step, first_pos, diverged, states)

@@ -2,16 +2,18 @@
 
 A batch runs n independent trials of one (a_target, a_mp) condition; each
 trial's noise stream is seeded by a hash of (master_seed, trial_index) only,
-so results are bit-reproducible regardless of worker count, chunking, or
+so results are bit-reproducible regardless of thread count, tiling, or
 execution order, and trial k of a batch is exactly reproducible on its own.
-Sweeps share trial streams across cells (common random numbers): each chunk
-of trials draws its noise once and runs every cell on it, as (cells, trials)
-tiles through the engine. A batch is the one-cell case of a sweep.
+Sweeps share trial streams across cells (common random numbers): each
+(cells, trials) tile draws its trials' noise block of steps by block and
+runs every cell of the tile on it through the engine. A batch is the
+one-cell case of a sweep.
 """
 
 import contextlib
 import ctypes
 import functools
+import itertools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -21,12 +23,15 @@ import numpy as np
 from . import backends
 from .config import RunConfig, SweepRange, default_config
 from .errors import ConfigError, IntegrationDivergedError
-from .field import _finite, build_kernel, draw_noise, initial_state, trajectories
+from .field import (_finite, _smoother, build_kernel, draw_noise, initial_state,
+                    trajectories)
 from .readout import readout_rows, row_result
 from .stimulus import compose_inputs
 
-# trials per kernel call; results do not depend on this
+# rows per engine tile, and steps per block of a tile's noise (at least 3,
+# so that `_parts` never makes a one-row block); results depend on neither
 _CHUNK = 128
+_BLOCK = 10
 
 # named replication runs: canned amplitude grids and highlighted conditions
 CONDITIONS_BBG2009 = {
@@ -172,12 +177,12 @@ def _blas_threads():
 
 
 @contextlib.contextmanager
-def _second_thread(n_trials):
-    """A one-worker pool for the second half of every chunk, with numpy's
+def _second_thread(n_tiles):
+    """A one-worker pool for a second thread of tiles, with numpy's
     OpenBLAS held at one thread until the worker is done; None, and the
     BLAS left alone, for the serial path (`_blas_threads` is None, or a
-    single trial)."""
-    blas = _blas_threads() if n_trials > 1 else None
+    single tile)."""
+    blas = _blas_threads() if n_tiles > 1 else None
     if blas is None:
         yield None
         return
@@ -193,20 +198,39 @@ def _second_thread(n_trials):
         put(old)
 
 
-def _run_cells(cfg, conditions, keep_final=False):
-    """Run trials 0..n_trials-1 of every condition in one pass over trial
-    chunks.
+def _parts(n, size):
+    """0..n-1 as ceil(n / size) consecutive slices whose lengths differ by at
+    most one; with size >= 3, no part of an n >= 2 is a single index."""
+    k = -(-n // size)
+    edges = [n * i // k for i in range(k + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
-    Each chunk's seeds and noise are drawn once and shared by every cell
-    (common random numbers) and released before the next chunk's is drawn,
-    so a run holds one chunk of noise. Where `_blas_threads` allows, the
-    chunk's trials are split in two halves: this thread takes the first and
-    a worker thread the second, each drawing its trials' noise into their
-    rows and running every cell on them, with the BLAS at one thread. Groups
-    of cells go through the engine as one (cells, trials) tile of at most
-    _CHUNK rows; a row's bits depend on neither. Returns the trial seeds and
-    per-cell (C, n) arrays of `readout_rows`, plus (C, n, field_size) final
-    fields when `keep_final` is set.
+
+def _tiles(n_cells, n_trials):
+    """The (cells, trials) slices of a run's engine tiles, of at most _CHUNK
+    rows, in trial order: some trials of every cell, in at least two tiles
+    for the two threads, or, where there are more cells than _CHUNK, one
+    trial of each group of cells."""
+    if n_cells > _CHUNK:
+        groups = _parts(n_cells, _CHUNK)
+        return [(cells, slice(i, i + 1)) for i in range(n_trials) for cells in groups]
+    per = min(_CHUNK // n_cells, -(-n_trials // 2))
+    return [(slice(0, n_cells), trials) for trials in _parts(n_trials, per)]
+
+
+def _run_cells(cfg, conditions, keep_final=False):
+    """Run trials 0..n_trials-1 of every condition, tile by tile (`_tiles`).
+
+    Each tile seeds its trials' generators and draws their noise one block
+    of steps (`_parts(n_steps, _BLOCK)`) at a time, just before the engine
+    runs that block on every cell of the tile (common random numbers), so a
+    tile holds at most _CHUNK x _BLOCK rows of noise. A group of cells
+    redraws its trial's noise. Where `_blas_threads` allows, this thread and
+    a worker thread each take the next tile until none is left, with the
+    BLAS at one thread; a row's bits depend on neither its tile nor its
+    thread. Returns the trial seeds and per-cell (C, n) arrays of
+    `readout_rows`, plus (C, n, field_size) final fields when `keep_final`
+    is set.
 
     Raises the IntegrationDivergedError of the first diverging cell in
     condition order, at its first diverging trial.
@@ -215,71 +239,73 @@ def _run_cells(cfg, conditions, keep_final=False):
     drives = np.array([compose_inputs(_condition_inputs(cfg, c), params.field_size)
                        for c in conditions])
     table = backends.toeplitz(build_kernel(params).weights)  # once per run
+    if params.noise_smooth_sigma > 0:  # draw_noise's cached table, before a worker can race to it
+        _smoother(params.noise_smooth_sigma, params.field_size)
     u0 = initial_state(params).u
+    blocks = _parts(params.n_steps, _BLOCK)
     n_cells = len(conditions)
-    seeds = []
+    seeds = [trial_seed(master, i) for i in range(n)]
     vot = np.empty((n_cells, n))
     ttt = np.empty((n_cells, n), np.int64)
     stab = np.empty((n_cells, n), bool)
     final = np.empty((n_cells, n, params.field_size)) if keep_final else None
-    failed = {}  # cell -> (step, seed) of its first diverging trial
 
-    def run_half(noise, chunk, start, live, lo, hi):
-        """Draw the noise of the chunk's trials lo..hi-1 (trial 0's is drawn
-        already) and run cells 0..live-1 on them; returns (cell, step, seed)
-        of each diverging row, in (cell, trial) order."""
-        for j in range(max(lo, 1), hi):
-            draw_noise(params, np.random.default_rng(chunk[j]), out=noise[j])
-        group = max(1, _CHUNK // (hi - lo))
-        bad = []
-        for c0 in range(0, live, group):
-            cells = slice(c0, min(c0 + group, live))
-            # the tile is a view; naming it would keep this chunk's noise
-            # alive while the next chunk's is drawn
+    def run_tile(cells, trials):
+        """Run the tile block by block and read out its rows; returns
+        (cell, step, seed) of each diverging row, in (cell, trial) order."""
+        rngs = [np.random.default_rng(seed) for seed in seeds[trials]]
+        # Room for _CHUNK trials whatever the tile's count; only its own rows
+        # are touched. Freeing the first such buffer lifts glibc's mmap and
+        # trim thresholds above the engine's per-call buffers (200 kB at 126
+        # rows), which otherwise went back to the system and came back as
+        # page faults (the 500-trial fig6 sweep: 15k instead of 7k).
+        noise = np.empty((_CHUNK, _BLOCK, params.field_size))
+        run = None
+        for steps in blocks:
+            block = noise[:len(rngs), :steps.stop - steps.start]
+            for rng, rows in zip(rngs, block):
+                draw_noise(params, rng, out=rows)
             run = backends.evolve_batch(
                 params, u0, drives[cells, None], table,
-                np.broadcast_to(noise[lo:hi], (cells.stop - c0, hi - lo) + noise.shape[1:]))
-            bad += [(c0 + c, int(run.diverged[c, j]), chunk[lo + j])
-                    for c, j in zip(*np.nonzero(run.diverged >= 0))]
-            if failed or bad:
-                continue  # the run raises; nothing more is read out
-            rows = (cells, slice(start + lo, start + hi))
-            vot[rows], ttt[rows], stab[rows] = readout_rows(
+                np.broadcast_to(block, (cells.stop - cells.start,) + block.shape),
+                carry=run, t0=steps.start)
+        bad = [(cells.start + c, int(run.diverged[c, j]), seeds[trials.start + j])
+               for c, j in zip(*np.nonzero(run.diverged >= 0))]
+        if not bad:  # a run with a diverging row raises; it needs no readout
+            vot[cells, trials], ttt[cells, trials], stab[cells, trials] = readout_rows(
                 run.final, run.first_step, run.first_pos, cfg.readout)
             if keep_final:
-                final[rows] = run.final
+                final[cells, trials] = run.final
         return bad
 
-    with _second_thread(n) as pool:
-        for start in range(0, n, _CHUNK):
-            live = min(failed, default=n_cells)  # later cells cannot be the one reported
-            if not live:
-                break
-            chunk = [trial_seed(master, i) for i in range(start, min(n, start + _CHUNK))]
-            seeds += chunk
-            k = len(chunk)
-            noise = np.empty((k, params.n_steps, params.field_size))
-            # trial 0 on this thread before the worker starts, so that a
-            # table draw_noise caches (the smoothing one) is built once
-            draw_noise(params, np.random.default_rng(chunk[0]), out=noise[0])
-            mid = (k + 1) // 2 if pool and k > 1 else k
-            second = pool.submit(run_half, noise, chunk, start, live, mid, k) if mid < k else None
-            bad = run_half(noise, chunk, start, live, 0, mid)
-            if second:
-                bad += second.result()
-            for c, step, seed in bad:  # (half, cell group) order
-                failed.setdefault(c, (step, seed))
-            # Free this chunk's noise before the next is drawn. A fresh array
-            # per chunk, not one reused buffer: freeing it lets glibc raise
-            # its mmap threshold above the engine's buffers (205 kB each at
-            # 128 rows), which under a held buffer stay mmaps with fresh page
-            # faults on every engine call (on a 2-core host, when they were
-            # per-step temporaries, replicate fig6 --trials 500 took 4.5x the
-            # page faults and 5-41% longer that way).
-            del noise
-    if failed:
-        step, seed = failed[min(failed)]
-        raise IntegrationDivergedError(step=step, seed=seed)
+    tiles = _tiles(n_cells, n)
+    diverging = [[] for _ in tiles]  # run_tile's list of each tile
+    todo = iter(range(len(tiles)))  # each thread takes the next tile from here
+    live = [n_cells]  # cells after the lowest diverging one cannot be reported
+
+    def run_tiles():
+        try:
+            for k in todo:
+                cells, trials = tiles[k]
+                cells = slice(cells.start, min(cells.stop, live[0]))
+                if cells.start < cells.stop:
+                    diverging[k] = run_tile(cells, trials)
+                    if diverging[k]:
+                        live[0] = min(live[0], diverging[k][0][0] + 1)
+        finally:
+            for _ in todo:  # a thread that raises stops the other at its next tile
+                pass
+
+    with _second_thread(len(tiles)) as pool:
+        second = pool.submit(run_tiles) if pool else None
+        run_tiles()
+        if second:
+            second.result()
+    # the lowest diverging cell's first row in tile order, which is its first
+    # diverging trial: a cell's tiles come in trial order
+    first = min(itertools.chain.from_iterable(diverging), key=lambda b: b[0], default=None)
+    if first is not None:
+        raise IntegrationDivergedError(step=first[1], seed=first[2])
     return seeds, vot, ttt, stab, final
 
 
@@ -400,6 +426,11 @@ def replicate_named(name, master_seed=None, config=None, n_trials=None, method=N
     The grids are canned; the config contributes field parameters, trial
     count, seed, and readout defaults. Example trajectories are trial 0 of
     the respective condition's batch.
+
+    Every grid and amplitude here is this repository's choice, the
+    CONDITIONS_BBG2009 amplitudes and the highlighted 0, -3 and -6 included.
+    The names point at the paper's figures, but no value was checked against
+    them: the repository holds only the paper's abstract (PAPER.md).
     """
     canonical = REPLICATION_ALIASES.get(name, name)
     if canonical not in _PRESETS:

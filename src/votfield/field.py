@@ -200,16 +200,18 @@ def draw_noise(params, rng, out=None):
     `noise_smooth_sigma` > 0 each row is convolved along the field axis with
     a normalised Gaussian, zero outside the grid (this lowers the effective
     per-neuron variance). `rng=None` gives a zero matrix (useful with q=0).
-    With `out`, a C-contiguous float64 array of that shape, the matrix is
-    written into it and `out` is returned.
+    With `out`, a C-contiguous float64 array of k <= n_steps rows, the next k
+    rows of `rng`'s stream are written into it and `out` is returned, so a
+    matrix drawn block by block has the bits of the whole draw, provided that
+    no smoothed block is a single row when n_steps >= 2: NumPy multiplies a
+    single row with the matrix-vector kernel, which rounds differently.
     """
-    shape = (params.n_steps, params.field_size)
     if out is None:
-        out = np.empty(shape)
+        out = np.empty((params.n_steps, params.field_size))
     if rng is None:
         out[...] = 0.0
         return out
-    rng.standard_normal(shape, out=out)
+    rng.standard_normal(out.shape, out=out)
     if params.noise_smooth_sigma > 0:
         out[...] = out @ _smoother(params.noise_smooth_sigma, params.field_size)
     return out

@@ -162,6 +162,23 @@ def test_engine_matches_the_literal_update_bit_for_bit(q):
     assert list(run.diverged[5:8]) == [4, -1, 41]
 
 
+def test_blocks_of_steps_give_the_one_call_bits():
+    # a run carried over blocks of 1, 10, 50 and 59 steps, with crossings,
+    # a divergence in the second block and one on the last step of the third
+    noise3 = np.random.default_rng(16).standard_normal((9, PARAMS.n_steps, 200))
+    noise3[4, 5, 30], noise3[5, 60, 90] = np.inf, np.nan
+    whole = _run(noise3)
+    run, states = None, [whole.states[:, :1]]
+    for t0, t1 in ((0, 1), (1, 11), (11, 61), (61, 120)):
+        run = evolve_batch(PARAMS, initial_state(PARAMS).u, DRIVE, TABLE, noise3[:, t0:t1],
+                           keep_states=True, carry=run, t0=t0)
+        states.append(run.states[:, 1:])
+        assert run.states.shape == (9, t1 - t0 + 1, 200)
+    assert list(run.diverged[4:6]) == [6, 61] and (run.first_step >= 0).sum() > 4
+    for a, b in zip(run[:4], whole[:4], strict=True):
+        assert a.tobytes() == b.tobytes()
+    assert np.concatenate(states, axis=1).tobytes() == whole.states.tobytes()
+
 def test_cell_tile_rows_equal_flat_runs():
     # a sweep tile: C cells (one drive each) x k trials sharing each trial's
     # noise through a broadcast view, against flat (k,) runs of each cell

@@ -50,9 +50,10 @@ def test_trial_prefix_independent_of_batch_size():
 
 def test_sweep_rows_independent_of_chunk_size(monkeypatch):
     # Every sweep cell equals its own run_batch, whatever the (cells x trials)
-    # tiles. 130 trials come in chunks of 1, of 7 (the last of 4) or of 128
-    # (the last of 2, run as one 5-cell tile); 3 trials at _CHUNK 7 run as
-    # tiles of 2, 2 and 1 cells.
+    # tiles. 130 trials of the 5 cells run as one trial of one cell per tile
+    # at _CHUNK 1, one trial of every cell at 7, or 21-22 trials at 128, and
+    # 3 trials at 7 as three tiles of one trial; each reference batch of 130
+    # is two tiles of 65 trials.
     amps = (-6.0, -3.5, -1.0, 1.5, 4.0)
 
     def cells(chunk, n):
@@ -69,6 +70,18 @@ def test_sweep_rows_independent_of_chunk_size(monkeypatch):
             np.testing.assert_equal(cells(chunk, n), ref, err_msg=f"_CHUNK={chunk}")
 
 
+def test_sweep_cells_keep_their_results_when_split_into_groups(monkeypatch):
+    # 21 cells at _CHUNK 5, 7 or 20 run one trial of each group of 4-5, 7 or
+    # 10-11 cells per tile, each group redrawing the trial's noise
+    def cells(chunk):
+        monkeypatch.setattr(experiments, "_CHUNK", chunk)
+        return [dataclasses.astuple(c) for c in sweep_1d(n_trials=6, master_seed=5).cells]
+
+    ref = cells(128)
+    for chunk in (5, 7, 20):
+        np.testing.assert_equal(cells(chunk), ref, err_msg=f"_CHUNK={chunk}")
+
+
 def test_recorded_seed_reproduces_trial_standalone():
     trials = run_trials(condition=Condition(6.0, -3.0), n_trials=4, master_seed=11)
     traj = example_trajectory(None, Condition(6.0, -3.0), 11, trial_index=2)
@@ -77,6 +90,20 @@ def test_recorded_seed_reproduces_trial_standalone():
     assert res.vot_target == trials[2].vot_target
     assert res.time_to_threshold == trials[2].time_to_threshold
     assert res.stabilized == trials[2].stabilized
+
+
+def test_uneven_step_blocks_give_the_standalone_trial():
+    # 121 steps run in blocks of 9 and 10 steps, with smoothed noise and
+    # q = 0.5; each trial keeps the bits of its whole-matrix draw run in one
+    # engine call
+    cfg = default_config()
+    cfg = dataclasses.replace(cfg, field=dataclasses.replace(
+        cfg.field, n_steps=121, noise_smooth_sigma=2.0, q=0.5))
+    assert {b.stop - b.start for b in experiments._parts(121, experiments._BLOCK)} == {9, 10}
+    trials = run_trials(cfg, Condition(6.0, -3.0), n_trials=3, master_seed=11)
+    for i, trial in enumerate(trials):
+        traj = example_trajectory(cfg, Condition(6.0, -3.0), 11, trial_index=i)
+        assert trial.final_u.tobytes() == traj.final.u.tobytes()
 
 
 def test_aggregate_statistics_match_numpy_reference():
@@ -230,24 +257,26 @@ def test_replication_trajectory_divergence_raises_like_a_single_run():
     assert (err.value.step, err.value.seed) == (single.value.step, None)
 
 
-def test_a_run_holds_one_chunk_of_noise():
-    # 256 trials are two chunks; the first is freed before the second is drawn
+def test_a_run_holds_two_tiles_of_noise_blocks():
+    # 256 trials are two tiles of 128, one per thread; each holds one block of
+    # its trials' noise and the engine's four (128, n) buffers at a time, not
+    # the trials' whole noise (24.6 MB for 128 trials)
     params = default_config().field
-    chunk_bytes = experiments._CHUNK * params.n_steps * params.field_size * 8
+    row_bytes = experiments._CHUNK * params.field_size * 8
+    two_tiles = 2 * (experiments._BLOCK + 4) * row_bytes
     tracemalloc.start()
     try:
         run_batch(n_trials=256)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * chunk_bytes, f"peak {peak / chunk_bytes:.2f} chunks of noise"
+    assert peak < 1.25 * two_tiles, f"peak {peak / two_tiles:.2f} times two tiles"
 
 
 def test_a_sweep_builds_the_lateral_table_once(monkeypatch):
-    # 10 trials in chunks of 4, 4 and 2 over 3 cells, all on one table. Each
-    # chunk's two halves (of 2, 2 and 1 trials) run the cells in tiles of at
-    # most 4 rows: 2 + 2 + 1 engine calls per half, 10 in all. The serial
-    # path runs each chunk whole: 3 + 3 + 2 tiles, 8 calls.
+    # 10 trials over 3 cells in tiles of at most 4 rows, all on one table:
+    # 10 tiles of one trial of each cell, on one thread or two, each run one
+    # block of steps per engine call
     calls = {"toeplitz": [], "evolve_batch": []}  # list.append is atomic
 
     def counted(name):
@@ -263,13 +292,12 @@ def test_a_sweep_builds_the_lateral_table_once(monkeypatch):
     monkeypatch.setattr(experiments, "_CHUNK", 4)
     cfg = dataclasses.replace(default_config(), n_trials=10)
     experiments._sweep(cfg, (6.0,), (-3.0, 0.0, 3.0))
-    engine_calls = 8 if experiments._blas_threads() is None else 10
-    assert {k: len(v) for k, v in calls.items()} == {"toeplitz": 1,
-                                                     "evolve_batch": engine_calls}
+    blocks = len(experiments._parts(cfg.field.n_steps, experiments._BLOCK))
+    assert {k: len(v) for k, v in calls.items()} == {"toeplitz": 1, "evolve_batch": 10 * blocks}
 
 
 def test_a_smoothed_run_builds_the_noise_table_once(monkeypatch):
-    # 10 smoothed trials in chunks of 4 build two tables, the lateral one and
+    # 10 smoothed trials in tiles of 4 build two tables, the lateral one and
     # the smoothing one, with the bits of a smoothing table built per draw
     cfg = dataclasses.replace(default_config(), n_trials=10)
     cfg = dataclasses.replace(cfg, field=dataclasses.replace(cfg.field, noise_smooth_sigma=2.0))
@@ -286,11 +314,11 @@ def test_a_smoothed_run_builds_the_noise_table_once(monkeypatch):
     once = run_batch(cfg)
     assert len(builds) == 2
     trials = run_trials(cfg)
-    # the per-trial path: a smoothing table for every draw
+    # the per-draw path: a smoothing table for every block of every trial
     monkeypatch.setattr(field, "_smoother", field._smoother.__wrapped__)
     builds.clear()
     per_trial = run_batch(cfg)
-    assert len(builds) == 1 + 10
+    assert len(builds) == 1 + 10 * len(experiments._parts(cfg.field.n_steps, experiments._BLOCK))
     assert repr(once) == repr(per_trial)
     for a, b in zip(trials, run_trials(cfg)):
         assert a.final_u.tobytes() == b.final_u.tobytes()
@@ -306,21 +334,30 @@ def test_divergence_carries_the_failing_trial_seed():
     assert "seed" in str(err.value)
 
 
+def _kicked(kicks):
+    """`draw_noise`, but with noise[step, neuron] = value in each trial whose
+    seed `kicks` maps to (step, neuron, value), in whichever block of the
+    trial's steps is being drawn."""
+    drawn = {}  # generator -> rows of its stream drawn so far
+
+    def draw(params, rng, out=None):
+        noise = draw_noise(params, rng, out=out)
+        t0 = drawn.get(rng, 0)
+        drawn[rng] = t0 + len(noise)
+        kick = kicks.get(rng.bit_generator.seed_seq.entropy)
+        if kick is not None and t0 <= kick[0] < t0 + len(noise):
+            noise[kick[0] - t0, kick[1]] = kick[2]
+        return noise
+    return draw
+
+
 def test_sweep_divergence_matches_cell_by_cell_order(monkeypatch):
     # A 1e308 noise kick at step 0 overflows only where the drive is ~1e308
     # too. In sweep order the cells are (6, 0): never; (6, 1e308): trial 5,
-    # in the second chunk of 4; (1e308, 0) and (1e308, 1e308): trial 1, in the
-    # first chunk. Run cell by cell, the sweep meets cell 1's trial 5 first.
-    kicks = {trial_seed(1, 1): 70, trial_seed(1, 5): 20}  # seed -> kicked neuron
-
-    def kicked_noise(params, rng, out=None):
-        noise = draw_noise(params, rng, out=out)
-        pos = kicks.get(rng.bit_generator.seed_seq.entropy)
-        if pos is not None:
-            noise[0, pos] = 1e308
-        return noise
-
-    monkeypatch.setattr(experiments, "draw_noise", kicked_noise)
+    # in the sixth tile of one trial; (1e308, 0) and (1e308, 1e308): trial 1,
+    # in the second. Run cell by cell, the sweep meets cell 1's trial 5 first.
+    kicks = {trial_seed(1, 1): (0, 70, 1e308), trial_seed(1, 5): (0, 20, 1e308)}
+    monkeypatch.setattr(experiments, "draw_noise", _kicked(kicks))
     monkeypatch.setattr(experiments, "_CHUNK", 4)
     cfg = dataclasses.replace(default_config(), n_trials=10)
     with pytest.raises(IntegrationDivergedError) as err:
@@ -331,16 +368,32 @@ def test_sweep_divergence_matches_cell_by_cell_order(monkeypatch):
     assert (err.value.step, err.value.seed) == (1, trial_seed(1, 1))
 
 
-@pytest.mark.parametrize("chunk", [7, 128])
+def _worker_takes_a_tile(engine):
+    """`engine`, but on the two-thread path the main thread's calls wait (up
+    to 10 s) for the worker's first, so that the worker takes a tile however
+    the threads are scheduled."""
+    called = threading.Event()
+
+    def call(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            called.set()
+        elif experiments._blas_threads() is not None:
+            called.wait(10)
+        return engine(*args, **kwargs)
+    return call
+
+
+@pytest.mark.parametrize("chunk", [3, 7, 128])
 def test_two_threads_give_the_serial_bits(monkeypatch, chunk):
-    # 15 trials are chunks of 7, 7 and 1 at _CHUNK 7 (halves of 4 and 3, and
-    # a lone trial that runs serially) and one chunk of 15 at _CHUNK 128
-    # (halves of 8 and 7); a short switch interval interleaves the threads
+    # 15 trials of 5 cells are tiles of one trial of 2 or 3 cells at _CHUNK 3
+    # (each trial's noise drawn by both groups), 15 tiles of one trial at 7
+    # and two of 8 and 7 trials at 128; a short switch interval interleaves
+    # the threads
     monkeypatch.setattr(experiments, "_CHUNK", chunk)
     cfg = dataclasses.replace(default_config(), n_trials=15, master_seed=4)
     conditions = [Condition(6.0, a) for a in (-6.0, -3.0, 0.0, 2.5, 4.0)]
     on_main = set()
-    engine = backends.evolve_batch
+    engine = _worker_takes_a_tile(backends.evolve_batch)
 
     def noted(*args, **kwargs):
         on_main.add(threading.current_thread() is threading.main_thread())
@@ -382,6 +435,7 @@ def test_a_run_restores_the_blas_thread_count(monkeypatch):
         seen.append(get())
         return engine(*args, **kwargs)
 
+    @_worker_takes_a_tile
     def failing(*args, **kwargs):
         if threading.current_thread() is not threading.main_thread():
             raise RuntimeError("engine failed")
@@ -407,10 +461,35 @@ def test_a_run_restores_the_blas_thread_count(monkeypatch):
         put(outside)
 
 
+def test_a_thread_that_raises_stops_the_other(monkeypatch):
+    # 40 trials in 10 tiles: the worker raises in its first engine call, and
+    # this thread stops after the tile it is running instead of running the
+    # other eight (with a stand-in BLAS setter where the host has none)
+    count = [1]
+    blas = experiments._blas_threads() or (lambda: count[0], lambda k: count.__setitem__(0, k))
+    monkeypatch.setattr(experiments, "_blas_threads", lambda: blas)
+    monkeypatch.setattr(experiments, "_CHUNK", 4)
+    engine = backends.evolve_batch
+    main_calls = []
+
+    @_worker_takes_a_tile
+    def failing(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("engine failed")
+        main_calls.append(1)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(backends, "evolve_batch", failing)
+    with pytest.raises(RuntimeError, match="engine failed"):
+        run_batch(n_trials=40)
+    blocks = len(experiments._parts(default_config().field.n_steps, experiments._BLOCK))
+    assert len(main_calls) <= 2 * blocks
+
+
 def test_two_threads_build_the_smoothing_table_once(monkeypatch):
-    # A slow build would let both threads of a chunk miss draw_noise's table
-    # cache; trial 0 is drawn before the worker starts, so only the lateral
-    # table and one smoothing table are built
+    # A slow build would let both threads' first draws miss draw_noise's
+    # table cache; the table is built before the worker starts, so only the
+    # lateral table and one smoothing table are built
     cfg = dataclasses.replace(default_config(), n_trials=6)
     cfg = dataclasses.replace(cfg, field=dataclasses.replace(cfg.field, noise_smooth_sigma=1.5))
     builds = []
@@ -427,20 +506,13 @@ def test_two_threads_build_the_smoothing_table_once(monkeypatch):
     assert len(builds) == 2
 
 
-def test_a_divergence_in_a_chunks_second_half_reports_its_own_seed(monkeypatch):
-    # One chunk of 8 trials runs as halves 0-3 and 4-7. A NaN in a trial's
-    # noise at step t diverges every cell at step t + 1; a 1e308 kick at
-    # neuron 20 and step 0 only where a_mp is ~1e308 too.
+def test_a_divergence_in_the_second_tile_reports_its_own_seed(monkeypatch):
+    # 8 trials of 2 cells run as tiles of trials 0-3 and 4-7, one on each
+    # thread. A NaN in a trial's noise at step t diverges every cell at step
+    # t + 1; a 1e308 kick at neuron 20 and step 0 only where a_mp is ~1e308
+    # too.
     kicks = {}  # seed -> (step, neuron, value)
-
-    def kicked_noise(params, rng, out=None):
-        noise = draw_noise(params, rng, out=out)
-        kick = kicks.get(rng.bit_generator.seed_seq.entropy)
-        if kick is not None:
-            noise[kick[:2]] = kick[2]
-        return noise
-
-    monkeypatch.setattr(experiments, "draw_noise", kicked_noise)
+    monkeypatch.setattr(experiments, "draw_noise", _kicked(kicks))
     monkeypatch.setattr(experiments, "_CHUNK", 8)
     cfg = dataclasses.replace(default_config(), n_trials=8)
 
@@ -451,11 +523,11 @@ def test_a_divergence_in_a_chunks_second_half_reports_its_own_seed(monkeypatch):
 
     kicks[trial_seed(1, 6)] = (30, 100, math.nan)
     assert first_divergence() == (31, trial_seed(1, 6))
-    # the first half's trial 1 diverges in the second cell only, so the
+    # the first tile's trial 1 diverges in the second cell only, so the
     # first cell's trial 6 is still the one reported
     kicks[trial_seed(1, 1)] = (0, 20, 1e308)
     assert first_divergence() == (31, trial_seed(1, 6))
-    # a first-half trial of the first cell is reported before trial 6, though
+    # a first-tile trial of the first cell is reported before trial 6, though
     # its step is later
     kicks[trial_seed(1, 2)] = (60, 100, math.nan)
     assert first_divergence() == (61, trial_seed(1, 2))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from votfield import experiments
 from votfield import (ConfigError, FieldParams, FieldState, GaussianInput,
                       IntegrationDivergedError, build_kernel, compose_inputs,
                       draw_noise, evolve, initial_state, kernel_value,
@@ -222,6 +223,27 @@ def test_draw_noise_smoothing_matches_scipy_filter():
         assert np.max(np.abs(smooth - ref)) <= 1e-12
         assert smooth.std() < raw.std()  # smoothing trades variance for correlation
 
+
+
+@pytest.mark.parametrize("sigma", [0.0, 2.0])
+@pytest.mark.parametrize("n_steps", [1, 21, 120])
+def test_noise_drawn_in_blocks_has_the_whole_draws_bits(sigma, n_steps):
+    # a trial's noise is drawn one block of steps at a time, as a run's tiles
+    # draw it; at 21 steps, blocks of 10 would leave a last block of one row,
+    # which the run's even split into blocks of 7 avoids
+    params = dataclasses.replace(PARAMS, n_steps=n_steps, noise_smooth_sigma=sigma)
+    whole = draw_noise(params, np.random.default_rng(21))
+    blocks = experiments._parts(n_steps, experiments._BLOCK)
+    assert all(b.stop - b.start >= 2 for b in blocks) or n_steps == 1
+    rng, into = np.random.default_rng(21), np.full_like(whole, np.nan)
+    for b in blocks:
+        draw_noise(params, rng, out=into[b])
+    assert into.tobytes() == whole.tobytes()
+    if n_steps == 21 and sigma == 0.0:  # i.i.d. rows take any split, one-row blocks too
+        rng = np.random.default_rng(21)
+        for b in (slice(0, 10), slice(10, 20), slice(20, 21)):
+            draw_noise(params, rng, out=into[b])
+        assert into.tobytes() == whole.tobytes()
 
 @settings(max_examples=25, deadline=None)
 @given(level=st.floats(-10.0, 5.0))
