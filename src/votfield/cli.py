@@ -12,13 +12,16 @@ line naming the files it wrote, in write order.
 import argparse
 import logging
 import os
+import pickle
 import sys
+import threading
 from pathlib import Path
 
 from .config import load_config, serialize_config
 from .errors import ConfigError, IntegrationDivergedError
 from .experiments import (REPLICATION_ALIASES, REPLICATIONS, _default_condition, _resolved,
-                          _sweep, example_trajectory, replicate_named, sweep_1d, sweep_2d)
+                          _sweep, _usable_cores, example_trajectory, replicate_named, sweep_1d,
+                          sweep_2d)
 from .outputs import emit_sweep_csv, emit_trajectory_csv, render_plots
 from .readout import METHODS, trial_metrics
 
@@ -103,18 +106,94 @@ def _run(args, cfg):
     return rep.name, rep.sweep, kind, rep.trajectories
 
 
+def _fork_export(trajectories):
+    """Whether `_write` shares the files with a forked child: where a run
+    exports a trajectory (its CSV and heatmap are most of the export's cost),
+    on Linux with two usable cores, and with no other Python thread alive,
+    since a fork copies only the calling thread."""
+    return (bool(trajectories) and sys.platform == "linux"
+            and threading.active_count() == 1 and _usable_cores() >= 2)
+
+
+def _emit(jobs):
+    """Run (index, cost, emitter, *args) jobs in order until one raises;
+    returns {index: the tuple of paths it wrote, or the exception it raised}."""
+    done = {}
+    for i, _, emit, *args in jobs:
+        try:
+            paths = emit(*args)
+        except Exception as exc:  # raised again by _write, in write order
+            done[i] = exc
+            break
+        done[i] = paths if isinstance(paths, tuple) else (paths,)
+    return done
+
+
+def _emit_forked(jobs):
+    """`_emit` over two groups of the jobs of about equal cost: a forked child
+    runs the lighter one and sends back its results pickled through a pipe,
+    this process runs the other and then reaps the child, also when it
+    raises."""
+    side, loads = {}, [0, 0]
+    for i, cost, *_ in sorted(jobs, key=lambda job: -job[1]):
+        side[i] = loads.index(min(loads))
+        loads[side[i]] += cost
+    # the child's start and exit overlap this process's longer share
+    child = loads.index(min(loads))
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: write every file here
+        os.close(read)
+        os.close(write)
+        return _emit(jobs)
+    if pid == 0:  # never returns: os._exit skips the caller's cleanup
+        status = 1
+        try:
+            os.close(read)
+            data = pickle.dumps(_emit([job for job in jobs if side[job[0]] == child]))
+            with os.fdopen(write, "wb") as fh:
+                fh.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    try:
+        done = _emit([job for job in jobs if side[job[0]] != child])
+    finally:
+        try:
+            with os.fdopen(read, "rb") as fh:
+                data = fh.read()
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0:
+        raise ChildProcessError(f"the export's child process ended with status {status}")
+    done.update(pickle.loads(data))
+    return done
+
+
 def _write(out, stem, sweep, kind, trajectories):
-    """Write a run's CSV and SVG files; returns their paths in write order."""
-    written = []
+    """Write a run's CSV and SVG files; returns their paths in write order.
+    Where `_fork_export` allows, a forked child writes about half of them."""
+    # costs: a trajectory's CSV takes about twice as long as its heatmap, and
+    # the sweep's own files are small
+    jobs = []
     if sweep is not None:
-        written.append(emit_sweep_csv(sweep, out / f"{stem}.csv"))
+        jobs.append((0, emit_sweep_csv, sweep, out / f"{stem}.csv"))
     if kind is not None:
-        written.append(render_plots(sweep, kind, out / f"{stem}.svg"))
+        jobs.append((0, render_plots, sweep, kind, out / f"{stem}.svg"))
     for tag in sorted(trajectories):
         name = f"{stem}_traj_{tag}" if tag else stem
-        written += emit_trajectory_csv(trajectories[tag], out / f"{name}.csv")
-        written.append(render_plots(trajectories[tag], "field_evolution_heatmap",
-                                    out / f"{name}.svg"))
+        jobs.append((2, emit_trajectory_csv, trajectories[tag], out / f"{name}.csv"))
+        jobs.append((1, render_plots, trajectories[tag], "field_evolution_heatmap",
+                     out / f"{name}.svg"))
+    jobs = [(i, *job) for i, job in enumerate(jobs)]
+    done = _emit_forked(jobs) if _fork_export(trajectories) else _emit(jobs)
+    written = []
+    for i in range(len(jobs)):  # the first error in write order, as in one process
+        if isinstance(done[i], Exception):
+            raise done[i]
+        written += done[i]
     return written
 
 

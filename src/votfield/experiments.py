@@ -156,15 +156,19 @@ def _condition_inputs(cfg, condition):
     return tuple(inputs)
 
 
+def _usable_cores():
+    """Cores this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
 @functools.cache
 def _blas_threads():
     """The (get, set) thread-count functions of the OpenBLAS that numpy's
     wheel bundles, or None where a second Python thread cannot help: on one
     core, or under another BLAS (the symbols are private to the wheel's
     scipy-openblas build)."""
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    if cores < 2:
+    if _usable_cores() < 2:
         return None
     try:
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)

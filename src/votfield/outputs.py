@@ -102,13 +102,19 @@ def _diverging(values, vmax, pos_color, neg_color):
         return np.full(values.shape, "#ffffff")
     # fmin/fmax send NaN to +1 (full pos_color), as Python's min/max do
     t = np.fmax(-1.0, np.fmin(1.0, values / vmax))
-    white = np.array(_WHITE, dtype=np.float64)
-    color = np.where((t >= 0)[..., None], np.array(pos_color, dtype=np.float64),
-                     np.array(neg_color, dtype=np.float64))
-    rgb = np.rint(white + (color - white) * np.abs(t)[..., None]).astype(np.int64)
-    packed = (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
+    neg = t < 0
+    a = np.abs(t, out=t)
+    # one channel at a time, packed as 0xrrggbb in float64 (exact below 2**53)
+    packed = np.zeros(values.shape)
+    channel = np.empty(values.shape)
+    for w, p, n in zip(_WHITE, pos_color, neg_color):
+        np.multiply(a, float(p - w), out=channel)
+        np.multiply(a, float(n - w), out=channel, where=neg)
+        channel += w
+        packed *= 256
+        packed += np.rint(channel, out=channel)
     keys, index = np.unique(packed, return_inverse=True)
-    table = np.array([f"#{k:06x}" for k in keys.tolist()])
+    table = np.array([f"#{k:06x}" for k in keys.astype(np.int64).tolist()])
     return table[index.reshape(values.shape)]
 
 

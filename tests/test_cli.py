@@ -1,10 +1,14 @@
 """End-to-end command-line behavior."""
 
+import errno
 import json
 import os
+import pickle
 import shutil
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import pytest
@@ -15,8 +19,8 @@ except ModuleNotFoundError:  # Python < 3.11
     import tomli as tomllib
 
 import votfield
-from votfield import (REPLICATIONS, SWEEP_COLUMNS, cli, config_from_dict, load_config,
-                      serialize_config)
+from votfield import (REPLICATIONS, SWEEP_COLUMNS, cli, config_from_dict, experiments,
+                      load_config, serialize_config)
 from votfield.cli import cli_main
 
 
@@ -157,8 +161,23 @@ COMMANDS = ([["simulate"], ["batch"], ["sweep1d"], ["sweep2d"]]
 
 @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
 def test_report_names_every_written_file_and_one_line_per_cell(command, tmp_path, capsys,
-                                                              monkeypatch):
-    emitted = []  # paths in the order the emitters returned them
+                                                              monkeypatch, forks):
+    out_dir = tmp_path / "o"
+    argv = command + ["--trials", "1", "--out", str(out_dir)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    # only a run that exports a trajectory forks
+    exports = command[0] == "simulate" or command[0] == "replicate" and command[1] != "fig12"
+    assert len(forks) == (FORKS if exports else 0)
+    lines = out.splitlines()
+    assert lines[-1].startswith("wrote ")
+    assert not any(line.startswith("wrote ") for line in lines[:-1])
+    wrote = lines[-1][len("wrote "):].split(", ")
+    assert sorted(wrote) == sorted(str(p) for p in out_dir.iterdir())
+
+    # the order the emitters return their paths in, recorded on the
+    # in-process path: a forked child's return values never reach this process
+    emitted = []
 
     def recording(fn):
         def emit(*args, **kwargs):
@@ -169,15 +188,10 @@ def test_report_names_every_written_file_and_one_line_per_cell(command, tmp_path
 
     for name in ("emit_sweep_csv", "emit_trajectory_csv", "render_plots"):
         monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
-    out_dir = tmp_path / "o"
-    code, out, _ = run_cli(command + ["--trials", "1", "--out", str(out_dir)], capsys)
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[-1].startswith("wrote ")
-    assert not any(line.startswith("wrote ") for line in lines[:-1])
-    wrote = lines[-1][len("wrote "):].split(", ")
+    monkeypatch.setattr(cli, "_fork_export", lambda trajectories: False)
+    shutil.rmtree(out_dir)
+    assert run_cli(argv, capsys)[0] == 0
     assert wrote == [str(p) for p in emitted]
-    assert sorted(wrote) == sorted(str(p) for p in out_dir.iterdir())
 
     stats = [line for line in lines if line.startswith("a_target=")]
     if command[0] == "simulate":
@@ -188,6 +202,132 @@ def test_report_names_every_written_file_and_one_line_per_cell(command, tmp_path
     for line, row in zip(stats, rows):
         a_target, a_mp = row.split(",")[:2]
         assert line.startswith(f"a_target={float(a_target):g} a_mp={float(a_mp):g} ")
+
+
+# --------------------------------------------------------- the forked export
+
+# a run that exports a trajectory forks one child for half of its files here
+FORKS = int(sys.platform == "linux" and experiments._usable_cores() >= 2)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """One entry per os.fork call; each call still forks."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def run_and_collect(argv, out_dir, capsys):
+    """(exit code, stdout, {name: bytes} of every file written), with the
+    output directory removed again."""
+    code, out, _ = run_cli(argv, capsys)
+    files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    shutil.rmtree(out_dir)
+    return code, out, files
+
+
+@pytest.mark.parametrize("seed", ["2", "7"])
+@pytest.mark.parametrize("command", [["simulate"], ["replicate", "fig6"],
+                                     ["replicate", "fig7"], ["replicate", "conditions"]],
+                         ids=" ".join)
+def test_forked_export_writes_what_one_process_writes(command, seed, tmp_path, capsys,
+                                                      monkeypatch, forks):
+    out_dir = tmp_path / "o"
+    argv = command + ["--trials", "2", "--seed", seed, "--out", str(out_dir)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        forked = run_and_collect(argv, out_dir, capsys)
+    assert len(forks) == FORKS
+    # Python 3.12 warns when it forks a process with more than one OS thread
+    assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
+    assert_no_child_left()
+    assert forked[0] == 0 and len(forked[2]) >= 3
+
+    monkeypatch.setattr(cli, "_fork_export", lambda trajectories: False)
+    assert run_and_collect(argv, out_dir, capsys) == forked
+    assert len(forks) == FORKS
+
+
+# simulate writes trajectory.csv (and its summary) here and trajectory.svg in
+# the child
+@pytest.mark.parametrize("blocked", [["trajectory.csv"], ["trajectory_summary.csv"],
+                                     ["trajectory.svg"], ["trajectory.svg", "trajectory.csv"]],
+                         ids="+".join)
+def test_forked_export_reports_an_error_as_one_process_does(blocked, tmp_path, capfd,
+                                                            monkeypatch, forks):
+    out_dir = tmp_path / "o"
+    for name in blocked:  # a directory where the file should go
+        (out_dir / name).mkdir(parents=True)
+    argv = ["simulate", "--out", str(out_dir)]
+
+    def error_lines():
+        code, out, err = run_cli(argv, capfd)  # capfd: the child's stderr too
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
+        return [line for line in err.splitlines() if line.startswith("error: ")]
+
+    forked = error_lines()
+    assert len(forks) == FORKS
+    assert_no_child_left()
+    assert len(forked) == 1 and "Is a directory" in forked[0]
+    monkeypatch.setattr(cli, "_fork_export", lambda trajectories: False)
+    assert error_lines() == forked
+    assert len(forks) == FORKS
+
+
+def test_export_child_that_cannot_send_its_results_fails_the_run(tmp_path, capfd,
+                                                                 monkeypatch, forks):
+    def unpicklable(obj):
+        raise pickle.PicklingError("cannot send")
+
+    monkeypatch.setattr(cli, "_fork_export", lambda trajectories: True)
+    monkeypatch.setattr(pickle, "dumps", unpicklable)  # only the child pickles
+    code, out, err = run_cli(["simulate", "--out", str(tmp_path)], capfd)
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert (code, out) == (1, "")
+    assert "error: the export's child process ended with status 1" in err
+    assert "Traceback" not in err
+
+
+def test_export_writes_every_file_here_when_fork_fails(tmp_path, capsys, monkeypatch):
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(cli, "_fork_export", lambda trajectories: True)
+    monkeypatch.setattr(os, "fork", no_fork)
+    code, out, _ = run_cli(["simulate", "--out", str(tmp_path)], capsys)
+    assert code == 0
+    wrote = out.splitlines()[-1][len("wrote "):].split(", ")
+    assert wrote == [str(tmp_path / name) for name in
+                     ("trajectory.csv", "trajectory_summary.csv", "trajectory.svg")]
+    assert sorted(wrote) == sorted(str(p) for p in tmp_path.iterdir())
+
+
+def test_a_second_python_thread_keeps_the_export_in_process(tmp_path, capsys, forks):
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        code, _, _ = run_cli(["simulate", "--out", str(tmp_path), "--quiet"], capsys)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert code == 0 and forks == []
+    assert len(list(tmp_path.iterdir())) == 3
 
 
 def test_usage_errors_exit_two(capsys):

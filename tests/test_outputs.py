@@ -174,6 +174,12 @@ def test_heatmap_cells_match_scalar_reference(traj, tmp_path):
     assert _heatmap_cells(traj, tmp_path) == _expected_cells(traj.states)
 
 
+@pytest.mark.parametrize("finite", [True, False], ids=["finite", "inf_nan"])
+def test_heatmap_cells_of_awkward_states_match_scalar_reference(finite, tmp_path):
+    traj = _states_trajectory(_awkward_states(finite))
+    assert _heatmap_cells(traj, tmp_path) == _expected_cells(traj.states)
+
+
 def test_heatmap_of_all_zero_field_is_white(tmp_path):
     states = np.zeros((5, 7))
     cells = _heatmap_cells(_states_trajectory(states), tmp_path)
