@@ -22,7 +22,9 @@ from .errors import ConfigError, IntegrationDivergedError
 from .experiments import (REPLICATION_ALIASES, REPLICATIONS, _default_condition, _resolved,
                           _sweep, _usable_cores, example_trajectory, replicate_named, sweep_1d,
                           sweep_2d)
-from .outputs import emit_sweep_csv, emit_trajectory_csv, render_plots
+from .outputs import (_emit_trajectory_rows, _summary_path, _write_heatmap,
+                      _write_trajectory_rows, _write_trajectory_summary, emit_sweep_csv,
+                      emit_trajectory_csv, render_plots)
 from .readout import METHODS, trial_metrics
 
 ENV_OUT = "VOTFIELD_OUT"  # default output directory when --out / out_dir are unset
@@ -107,76 +109,144 @@ def _run(args, cfg):
 
 
 def _fork_export(trajectories):
-    """Whether `_write` shares the files with a forked child: where a run
+    """Whether `_write` shares the export with a forked child: where a run
     exports a trajectory (its CSV and heatmap are most of the export's cost),
-    on Linux with two usable cores, and with no other Python thread alive,
-    since a fork copies only the calling thread."""
-    return (bool(trajectories) and sys.platform == "linux"
+    on Linux with two usable cores and memfds, and with no other Python thread
+    alive, since a fork copies only the calling thread."""
+    return (bool(trajectories) and sys.platform == "linux" and hasattr(os, "memfd_create")
             and threading.active_count() == 1 and _usable_cores() >= 2)
 
 
 def _emit(jobs):
-    """Run (index, cost, emitter, *args) jobs in order until one raises;
-    returns {index: the tuple of paths it wrote, or the exception it raised}."""
-    done = {}
-    for i, _, emit, *args in jobs:
+    """Run (cost, emitter, *args) jobs in order; returns the paths they wrote."""
+    written = []
+    for _, emit, *args in jobs:
+        paths = emit(*args)
+        written += paths if isinstance(paths, tuple) else (paths,)
+    return written
+
+
+def _split(jobs):
+    """Where the child's share of the jobs starts: (k, cut), the child taking
+    the step rows from `cut` of jobs[k] and every job after it. The share is
+    the tail of the jobs up to half their total cost; a trajectory CSV that
+    the half falls inside is cut at a step row, one row at least to each side."""
+    left = sum(job[0] for job in jobs) / 2
+    k = len(jobs)
+    while jobs[k - 1][0] <= left:
+        k -= 1
+        left -= jobs[k][0]
+    cost, emit, traj, *_ = jobs[k - 1]
+    if left > 0 and emit is emit_trajectory_csv and len(traj) >= 2:
+        rows = len(traj)
+        return k - 1, rows - min(max(round(rows * left / cost), 1), rows - 1)
+    return k, 0
+
+
+def _child_files(jobs, cut):
+    """The files of the child's share (trajectory jobs, the first from step row
+    `cut`), as (path, whether it continues a file this process began, text
+    writer and its arguments), in write order."""
+    files = []
+    for _, emit, traj, *_, path in jobs:
+        if emit is emit_trajectory_csv:
+            files.append((path, cut > 0, (_write_trajectory_rows, traj, cut, len(traj))))
+            files.append((_summary_path(path), False, (_write_trajectory_summary, traj)))
+        else:  # its heatmap
+            files.append((path, False, (_write_heatmap, traj)))
+        cut = 0
+    return files
+
+
+def _format(memfd, files):
+    """Format `files` one after another into `memfd`; returns the offset each
+    ends at, and the exception that stopped them or None."""
+    ends = []
+    with os.fdopen(memfd, "w", encoding="utf-8", newline="", closefd=False) as fh:
         try:
-            paths = emit(*args)
-        except Exception as exc:  # raised again by _write, in write order
-            done[i] = exc
-            break
-        done[i] = paths if isinstance(paths, tuple) else (paths,)
-    return done
+            for _, _, (write, *args) in files:
+                write(fh, *args)
+                ends.append(fh.tell())
+        except Exception as exc:  # raised by this process, in write order
+            return ends, exc
+    return ends, None
+
+
+def _copy(memfd, start, end, path, append):
+    """Write bytes start..end of `memfd` to `path`, after what it holds if
+    `append`, else in place of it (sendfile takes no O_APPEND file)."""
+    flags = os.O_WRONLY if append else os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+    fd = os.open(path, flags, 0o666)
+    try:
+        if append:
+            os.lseek(fd, 0, os.SEEK_END)
+        while start < end:
+            start += os.sendfile(fd, memfd, start, end - start)
+    finally:
+        os.close(fd)
 
 
 def _emit_forked(jobs):
-    """`_emit` over two groups of the jobs of about equal cost: a forked child
-    runs the lighter one and sends back its results pickled through a pipe,
-    this process runs the other and then reaps the child, also when it
-    raises."""
-    side, loads = {}, [0, 0]
-    for i, cost, *_ in sorted(jobs, key=lambda job: -job[1]):
-        side[i] = loads.index(min(loads))
-        loads[side[i]] += cost
-    # the child's start and exit overlap this process's longer share
-    child = loads.index(min(loads))
-    read, write = os.pipe()
+    """`_emit` with a forked child that formats the tail of the jobs (`_split`)
+    into a memfd and sends back where each file ends, pickled through a pipe.
+    This process writes its own share as it formats it, reaps the child, also
+    when it raises, and then copies the child's bytes into their files."""
+    k, cut = _split(jobs)
+    own, files = jobs[:k], _child_files(jobs[k:], cut)
+    if cut:
+        own.append((0, _emit_trajectory_rows, jobs[k][2], jobs[k][3], cut))
     try:
-        pid = os.fork()
-    except OSError:  # no process to spare: write every file here
-        os.close(read)
-        os.close(write)
+        memfd = os.memfd_create("votfield-export", os.MFD_CLOEXEC)
+    except OSError:  # no memfd here: write every file in this process
         return _emit(jobs)
-    if pid == 0:  # never returns: os._exit skips the caller's cleanup
-        status = 1
-        try:
-            os.close(read)
-            data = pickle.dumps(_emit([job for job in jobs if side[job[0]] == child]))
-            with os.fdopen(write, "wb") as fh:
-                fh.write(data)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
     try:
-        done = _emit([job for job in jobs if side[job[0]] != child])
-    finally:
+        read, write = os.pipe()
         try:
-            with os.fdopen(read, "rb") as fh:
-                data = fh.read()
+            pid = os.fork()
+        except OSError:  # no process to spare: write every file here
+            os.close(read)
+            os.close(write)
+            return _emit(jobs)
+        if pid == 0:  # never returns: os._exit skips the caller's cleanup
+            status = 1
+            try:
+                os.close(read)
+                data = pickle.dumps(_format(memfd, files))
+                with os.fdopen(write, "wb") as fh:
+                    fh.write(data)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        try:
+            written = _emit(own)
         finally:
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status != 0:
-        raise ChildProcessError(f"the export's child process ended with status {status}")
-    done.update(pickle.loads(data))
-    return done
+            try:
+                with os.fdopen(read, "rb") as fh:
+                    data = fh.read()
+            finally:
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status != 0:
+            raise ChildProcessError(f"the export's child process ended with status {status}")
+        ends, error = pickle.loads(data)
+        start = 0
+        for (path, append, _), end in zip(files, ends):
+            _copy(memfd, start, end, path, append)
+            if not append:
+                written.append(path)
+            start = end
+        if error is not None:
+            raise error
+        return written
+    finally:
+        os.close(memfd)
 
 
 def _write(out, stem, sweep, kind, trajectories):
     """Write a run's CSV and SVG files; returns their paths in write order.
-    Where `_fork_export` allows, a forked child writes about half of them."""
-    # costs: a trajectory's CSV takes about twice as long as its heatmap, and
-    # the sweep's own files are small
+    Where `_fork_export` allows, a forked child formats about half of them."""
+    # costs: a trajectory's CSV (with its summary) takes about twice as long
+    # as its heatmap, and the sweep's own files are small
     jobs = []
     if sweep is not None:
         jobs.append((0, emit_sweep_csv, sweep, out / f"{stem}.csv"))
@@ -187,14 +257,7 @@ def _write(out, stem, sweep, kind, trajectories):
         jobs.append((2, emit_trajectory_csv, trajectories[tag], out / f"{name}.csv"))
         jobs.append((1, render_plots, trajectories[tag], "field_evolution_heatmap",
                      out / f"{name}.svg"))
-    jobs = [(i, *job) for i, job in enumerate(jobs)]
-    done = _emit_forked(jobs) if _fork_export(trajectories) else _emit(jobs)
-    written = []
-    for i in range(len(jobs)):  # the first error in write order, as in one process
-        if isinstance(done[i], Exception):
-            raise done[i]
-        written += done[i]
-    return written
+    return _emit_forked(jobs) if _fork_export(trajectories) else _emit(jobs)
 
 
 def cli_main(argv=None):

@@ -51,27 +51,54 @@ def emit_sweep_csv(result, path):
     return path
 
 
+def _states(traj, what):
+    if traj.states is None:
+        raise ConfigError("trajectory has no per-step states (memory-lean mode); "
+                          f"re-run with keep_states=True to {what} it")
+    return traj.states
+
+
+def _summary_path(path):
+    return path.with_name(path.stem + "_summary" + path.suffix)
+
+
+def _write_trajectory_rows(fh, traj, start, stop):
+    """Step rows start..stop-1 of a trajectory's long CSV; the header goes with
+    row 0."""
+    states = _states(traj, "export")
+    if start == 0:
+        fh.write("step,x,u\n")
+    # one %-template per step row, "t,0,%r\nt,1,%r\n...": repr of each value
+    # is the only per-value work, and one row at a time is held
+    lines = [f",{x},%r\n" for x in range(states.shape[1])]
+    for t in range(start, stop):
+        step = str(t)
+        fh.write((step + step.join(lines)) % tuple(states[t].tolist()))
+
+
+def _write_trajectory_summary(fh, traj):
+    fh.write("step,max_u,n_above_threshold\n")
+    fh.writelines("%d,%r,%d\n" % row for row in zip(
+        range(len(traj)), traj.max_u.tolist(), traj.n_above.tolist()))
+
+
+def _emit_trajectory_rows(traj, path, stop):
+    """The header and the step rows before `stop` of a trajectory's long CSV."""
+    _states(traj, "export")
+    path = _open_csv(path)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        _write_trajectory_rows(fh, traj, 0, stop)
+    return path
+
+
 def emit_trajectory_csv(traj, path):
     """Long-format (step, x, u) dump plus a per-step summary file
     (step, max_u, n_above_threshold), which lands next to `path` with an
     `_summary` suffix."""
-    if traj.states is None:
-        raise ConfigError("trajectory has no per-step states (memory-lean mode); "
-                          "re-run with keep_states=True to export it")
-    path = _open_csv(path)
-    summary_path = path.with_name(path.stem + "_summary" + path.suffix)
-    # one %-template per step row, "t,0,%r\nt,1,%r\n...": repr of each value
-    # is the only per-value work, and one row at a time is held
-    lines = [f",{x},%r\n" for x in range(traj.states.shape[1])]
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write("step,x,u\n")
-        for t, row_u in enumerate(traj.states):
-            step = str(t)
-            fh.write((step + step.join(lines)) % tuple(row_u.tolist()))
+    path = _emit_trajectory_rows(traj, path, len(traj))
+    summary_path = _summary_path(path)
     with summary_path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write("step,max_u,n_above_threshold\n")
-        fh.writelines("%d,%r,%d\n" % row for row in zip(
-            range(len(traj)), traj.max_u.tolist(), traj.n_above.tolist()))
+        _write_trajectory_summary(fh, traj)
     return path, summary_path
 
 
@@ -171,15 +198,18 @@ class _Svg:
         self.parts.append(f'<text x="{_f(x)}" y="{_f(y)}" font-family="sans-serif" '
                           f'font-size="{size}" text-anchor="{anchor}" fill="{fill}">{s}</text>')
 
+    def dump(self, fh):
+        # part by part: one joined copy of a heatmap is megabytes
+        for part in self.parts:
+            fh.write(part)
+            fh.write("\n")
+        fh.write("</svg>\n")
+
     def write(self, path):
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        # part by part: one joined copy of a heatmap is megabytes
         with path.open("w", encoding="utf-8") as fh:
-            for part in self.parts:
-                fh.write(part)
-                fh.write("\n")
-            fh.write("</svg>\n")
+            self.dump(fh)
         return path
 
 
@@ -276,12 +306,9 @@ def _render_sweep_line(result, path):
     return svg.write(path)
 
 
-def _render_heatmap(traj, path):
+def _plot_heatmap(traj):
     """Activation over (time step, field position), diverging around u = 0."""
-    if traj.states is None:
-        raise ConfigError("trajectory has no per-step states (memory-lean mode); "
-                          "re-run with keep_states=True to plot it")
-    states = traj.states
+    states = _states(traj, "plot")
     n_rows, n = states.shape
     svg = _Svg(700, 460)
     ax = _Axes(svg, (0, n_rows), (0, n), left=62, right=90, top=28, bottom=46)
@@ -314,7 +341,7 @@ def _render_heatmap(traj, path):
     svg.text(cb_x + 18, cb_y + cb_h / 2 + 3, "0", size=9)
     svg.text(cb_x + 18, cb_y + cb_h, f"{-vmax:.1f}", size=9)
     svg.text(cb_x + 7, cb_y - 8, "u", size=10, anchor="middle")
-    return svg.write(path)
+    return svg
 
 
 def _render_surface(result, path):
@@ -367,6 +394,10 @@ def _render_surface(result, path):
     return svg.write(path)
 
 
+def _write_heatmap(fh, traj):
+    _plot_heatmap(traj).dump(fh)
+
+
 def render_plots(data, kind, path):
     """Render `data` as a deterministic SVG of the given kind.
 
@@ -376,7 +407,7 @@ def render_plots(data, kind, path):
     if kind == "sweep_line":
         return _render_sweep_line(data, path)
     if kind == "field_evolution_heatmap":
-        return _render_heatmap(data, path)
+        return _plot_heatmap(data).write(path)
     if kind == "surface_2d":
         return _render_surface(data, path)
     raise ConfigError(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")

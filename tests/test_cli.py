@@ -11,6 +11,7 @@ import threading
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 try:
@@ -19,8 +20,8 @@ except ModuleNotFoundError:  # Python < 3.11
     import tomli as tomllib
 
 import votfield
-from votfield import (REPLICATIONS, SWEEP_COLUMNS, cli, config_from_dict, experiments,
-                      load_config, serialize_config)
+from votfield import (REPLICATIONS, SWEEP_COLUMNS, ConfigError, cli, config_from_dict,
+                      experiments, load_config, outputs, serialize_config)
 from votfield.cli import cli_main
 
 
@@ -260,31 +261,111 @@ def test_forked_export_writes_what_one_process_writes(command, seed, tmp_path, c
     assert len(forks) == FORKS
 
 
-# simulate writes trajectory.csv (and its summary) here and trajectory.svg in
-# the child
+# simulate writes the header and the first three quarters of the step rows of
+# trajectory.csv here; the child formats the last quarter, the summary and
+# trajectory.svg into a memfd, and this process copies them into the files
 @pytest.mark.parametrize("blocked", [["trajectory.csv"], ["trajectory_summary.csv"],
                                      ["trajectory.svg"], ["trajectory.svg", "trajectory.csv"]],
                          ids="+".join)
 def test_forked_export_reports_an_error_as_one_process_does(blocked, tmp_path, capfd,
                                                             monkeypatch, forks):
     out_dir = tmp_path / "o"
-    for name in blocked:  # a directory where the file should go
-        (out_dir / name).mkdir(parents=True)
     argv = ["simulate", "--out", str(out_dir)]
 
-    def error_lines():
+    def failed_run():
+        """The run's error lines and {name: bytes} of the files it left."""
+        shutil.rmtree(out_dir, ignore_errors=True)
+        for name in blocked:  # a directory where the file should go
+            (out_dir / name).mkdir(parents=True)
         code, out, err = run_cli(argv, capfd)  # capfd: the child's stderr too
         assert (code, out) == (1, "")
         assert "Traceback" not in err
-        return [line for line in err.splitlines() if line.startswith("error: ")]
+        files = {p.name: p.read_bytes() for p in out_dir.iterdir() if p.is_file()}
+        return [line for line in err.splitlines() if line.startswith("error: ")], files
 
-    forked = error_lines()
+    forked = failed_run()
     assert len(forks) == FORKS
     assert_no_child_left()
-    assert len(forked) == 1 and "Is a directory" in forked[0]
+    assert len(forked[0]) == 1 and "Is a directory" in forked[0][0]
     monkeypatch.setattr(cli, "_fork_export", lambda trajectories: False)
-    assert error_lines() == forked
+    assert failed_run() == forked
     assert len(forks) == FORKS
+
+
+def test_forked_export_raises_a_formatting_error_in_write_order(tmp_path, capfd,
+                                                                monkeypatch, forks):
+    # the child's heatmap fails: this process still writes the CSV and its
+    # summary, as one process does, and then reports the child's error
+    def no_heatmap(traj):
+        raise ConfigError("cannot plot the heatmap")
+
+    out_dir = tmp_path / "o"
+
+    def failed_run():
+        code, out, err = run_cli(["simulate", "--out", str(out_dir)], capfd)
+        assert (code, out) == (1, "")
+        files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        shutil.rmtree(out_dir)
+        return err, files
+
+    monkeypatch.setattr(outputs, "_plot_heatmap", no_heatmap)
+    monkeypatch.setattr(cli, "_fork_export", lambda trajectories: True)
+    forked = failed_run()
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert forked[0] == "error: cannot plot the heatmap\n"
+    assert sorted(forked[1]) == ["trajectory.csv", "trajectory_summary.csv"]
+    monkeypatch.setattr(cli, "_fork_export", lambda trajectories: False)
+    assert failed_run() == forked
+
+
+def forked_and_in_process(argv, out_dir, capsys, monkeypatch):
+    """run_and_collect of `argv` on the forked path (forced, whatever the
+    cores) and then in one process, with the `_split` of the forked run."""
+    splits = []
+    split = cli._split
+    monkeypatch.setattr(cli, "_split", lambda jobs: splits.append(split(jobs)) or splits[-1])
+    monkeypatch.setattr(cli, "_fork_export", lambda trajectories: True)
+    forked = run_and_collect(argv, out_dir, capsys)
+    assert_no_child_left()
+    monkeypatch.setattr(cli, "_fork_export", lambda trajectories: False)
+    return forked, run_and_collect(argv, out_dir, capsys), splits
+
+
+@pytest.mark.parametrize("command, n_steps, split", [
+    (["simulate"], 1, (0, 1)),  # 2 rows: one to each side
+    (["simulate"], 2, (0, 2)),  # 3 rows: the last to the child
+    (["simulate"], None, (0, 91)),  # 121 rows: the last 30 to the child
+    (["replicate", "fig6"], None, (4, 91)),  # the middle trajectory's CSV
+    (["replicate", "conditions"], None, (6, 0)),  # 2 of 4 trajectories: no cut
+], ids=["simulate-2-rows", "simulate-3-rows", "simulate", "fig6", "conditions"])
+def test_forked_export_cut_at_a_step_row_writes_what_one_process_writes(
+        command, n_steps, split, tmp_path, capsys, monkeypatch):
+    argv = command + ["--trials", "2", "--seed", "5", "--out", str(tmp_path / "o")]
+    if n_steps is not None:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"field": {"n_steps": n_steps}}))
+        argv += ["--config", str(config)]
+    forked, in_process, splits = forked_and_in_process(argv, tmp_path / "o", capsys,
+                                                       monkeypatch)
+    assert splits == [split]
+    assert forked == in_process and forked[0] == 0
+
+
+@pytest.mark.parametrize("trajectories", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 7, 121])
+@pytest.mark.parametrize("sweep", [False, True])
+def test_no_cut_leaves_an_empty_side(trajectories, rows, sweep):
+    traj = np.zeros((rows, 2))  # _split reads only len() of a trajectory
+    jobs = [(0, cli.emit_sweep_csv, None, "s.csv"), (0, cli.render_plots, None, "k", "s.svg")]
+    jobs = jobs[:2 * sweep]
+    for t in range(trajectories):
+        jobs += [(2, cli.emit_trajectory_csv, traj, f"{t}.csv"),
+                 (1, cli.render_plots, traj, "field_evolution_heatmap", f"{t}.svg")]
+    k, cut = cli._split(jobs)
+    assert 0 < k + cut and k < len(jobs)  # this process and the child each get something
+    if cut:
+        assert jobs[k][1] is cli.emit_trajectory_csv and 0 < cut < rows
 
 
 def test_export_child_that_cannot_send_its_results_fails_the_run(tmp_path, capfd,
@@ -314,6 +395,34 @@ def test_export_writes_every_file_here_when_fork_fails(tmp_path, capsys, monkeyp
     assert wrote == [str(tmp_path / name) for name in
                      ("trajectory.csv", "trajectory_summary.csv", "trajectory.svg")]
     assert sorted(wrote) == sorted(str(p) for p in tmp_path.iterdir())
+
+
+def test_export_writes_every_file_here_without_a_memfd(tmp_path, capsys, monkeypatch, forks):
+    def no_memfd(name, flags=0):
+        raise OSError(errno.ENOSYS, "Function not implemented")
+
+    argv = ["replicate", "fig6", "--trials", "2", "--out", str(tmp_path / "o")]
+    monkeypatch.setattr(cli, "_fork_export", lambda trajectories: True)
+    monkeypatch.setattr(os, "memfd_create", no_memfd)
+    without_memfd = run_and_collect(argv, tmp_path / "o", capsys)
+    assert forks == []
+    monkeypatch.setattr(cli, "_fork_export", lambda trajectories: False)
+    assert run_and_collect(argv, tmp_path / "o", capsys) == without_memfd
+    assert without_memfd[0] == 0
+
+
+@pytest.mark.parametrize("blocked", [None, "trajectory.csv", "trajectory.svg"])
+def test_forked_export_leaves_no_file_descriptor_open(blocked, tmp_path, capfd, monkeypatch,
+                                                      forks):
+    out_dir = tmp_path / "o"
+    if blocked:  # a directory where the file should go
+        (out_dir / blocked).mkdir(parents=True)
+    monkeypatch.setattr(cli, "_fork_export", lambda trajectories: True)
+    before = sorted(os.listdir("/proc/self/fd"))
+    code, _, _ = run_cli(["simulate", "--out", str(out_dir)], capfd)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert code == (1 if blocked else 0) and len(forks) == 1
+    assert_no_child_left()
 
 
 def test_a_second_python_thread_keeps_the_export_in_process(tmp_path, capsys, forks):

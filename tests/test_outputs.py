@@ -2,13 +2,14 @@
 
 import csv
 import math
+import os
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from votfield import outputs
+from votfield import cli, outputs
 from votfield import (SWEEP_COLUMNS, Condition, ConditionStats, ConfigError,
                       FieldParams, FieldState, GaussianInput, SweepResult,
                       Trajectory, compose_inputs, config_from_dict,
@@ -354,6 +355,25 @@ def test_exports_keep_the_bytes_of_the_per_value_writers(states, traj, tmp_path)
     svg = render_plots(traj, "field_evolution_heatmap", tmp_path / "h.svg")
     _reference_heatmap(traj, tmp_path / "r.svg")
     assert svg.read_bytes() == (tmp_path / "r.svg").read_bytes()
+
+
+@pytest.mark.parametrize("finite", [True, False])
+def test_forked_exports_keep_the_bytes_of_the_per_value_writers(finite, tmp_path, monkeypatch):
+    # the forked export cuts the CSV at a step row: this process writes the
+    # rows before the cut, a forked child formats the rest, the summary and
+    # the heatmap into a memfd, and this process copies them into the files
+    traj = _states_trajectory(_awkward_states(finite))
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    monkeypatch.setattr(cli, "_fork_export", lambda trajectories: True)
+    written = cli._write(tmp_path, "t", None, None, {"": traj})
+    assert len(forks) == 1
+    assert [p.name for p in written] == ["t.csv", "t_summary.csv", "t.svg"]
+    _reference_trajectory_csv(traj, tmp_path / "r.csv", tmp_path / "r_summary.csv")
+    _reference_heatmap(traj, tmp_path / "r.svg")
+    for name in ("%s.csv", "%s_summary.csv", "%s.svg"):
+        assert (tmp_path / (name % "t")).read_bytes() == (tmp_path / (name % "r")).read_bytes()
 
 
 def test_exporting_a_trajectory_holds_under_a_file_of_memory(traj, tmp_path):
