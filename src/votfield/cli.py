@@ -15,16 +15,16 @@ import os
 import pickle
 import sys
 import threading
+from itertools import groupby
 from pathlib import Path
 
 from .config import load_config, serialize_config
 from .errors import ConfigError, IntegrationDivergedError
-from .experiments import (REPLICATION_ALIASES, REPLICATIONS, _default_condition, _resolved,
-                          _sweep, _usable_cores, example_trajectory, replicate_named, sweep_1d,
-                          sweep_2d)
-from .outputs import (_emit_trajectory_rows, _summary_path, _write_heatmap,
-                      _write_trajectory_rows, _write_trajectory_summary, emit_sweep_csv,
-                      emit_trajectory_csv, render_plots)
+from .experiments import (REPLICATION_ALIASES, REPLICATIONS, _default_condition, _parts,
+                          _resolved, _sweep, _usable_cores, example_trajectory, replicate_named,
+                          sweep_1d, sweep_2d)
+from .outputs import (_summary_path, _write_file, _write_plot, _write_sweep,
+                      _write_trajectory_rows, _write_trajectory_summary)
 from .readout import METHODS, trial_metrics
 
 ENV_OUT = "VOTFIELD_OUT"  # default output directory when --out / out_dir are unset
@@ -117,54 +117,57 @@ def _fork_export(trajectories):
             and threading.active_count() == 1 and _usable_cores() >= 2)
 
 
-def _emit(jobs):
-    """Run (cost, emitter, *args) jobs in order; returns the paths they wrote."""
-    written = []
-    for _, emit, *args in jobs:
-        paths = emit(*args)
-        written += paths if isinstance(paths, tuple) else (paths,)
-    return written
+def _pieces(out, stem, sweep, kind, trajectories):
+    """A run's export as (cost, path, text writer, *its arguments) pieces in
+    write order: the sweep's CSV and plot, then for each trajectory its step
+    rows in up to four row ranges (the first with the header), its summary
+    and its heatmap. The costs: a trajectory's rows take about twice as long
+    as its heatmap, and the sweep's files and a summary are small."""
+    pieces = []
+    if sweep is not None:
+        pieces.append((0, out / f"{stem}.csv", _write_sweep, sweep))
+    if kind is not None:
+        pieces.append((0, out / f"{stem}.svg", _write_plot, sweep, kind))
+    for tag, traj in sorted(trajectories.items()):
+        path = out / (f"{stem}_traj_{tag}.csv" if tag else f"{stem}.csv")
+        rows = _parts(len(traj), -(-len(traj) // 4))
+        pieces += [(2 / len(rows), path, _write_trajectory_rows, traj, r.start, r.stop)
+                   for r in rows]
+        pieces += [(0, _summary_path(path), _write_trajectory_summary, traj),
+                   (1, path.with_suffix(".svg"), _write_plot, traj, "field_evolution_heatmap")]
+    return pieces
 
 
-def _split(jobs):
-    """Where the child's share of the jobs starts: (k, cut), the child taking
-    the step rows from `cut` of jobs[k] and every job after it. The share is
-    the tail of the jobs up to half their total cost; a trajectory CSV that
-    the half falls inside is cut at a step row, one row at least to each side."""
-    left = sum(job[0] for job in jobs) / 2
-    k = len(jobs)
-    while jobs[k - 1][0] <= left:
+def _write_pieces(fh, pieces):
+    for _, _, write, *args in pieces:
+        write(fh, *args)
+
+
+def _write_here(pieces):
+    """Write `pieces` in this process, each path opened once; returns the
+    paths in write order."""
+    return [_write_file(path, _write_pieces, list(same))
+            for path, same in groupby(pieces, key=lambda piece: piece[1])]
+
+
+def _split(pieces):
+    """Where the child's share of the pieces starts: the tail of the pieces
+    up to half their total cost."""
+    left = sum(piece[0] for piece in pieces) / 2
+    k = len(pieces)
+    while pieces[k - 1][0] <= left:
         k -= 1
-        left -= jobs[k][0]
-    cost, emit, traj, *_ = jobs[k - 1]
-    if left > 0 and emit is emit_trajectory_csv and len(traj) >= 2:
-        rows = len(traj)
-        return k - 1, rows - min(max(round(rows * left / cost), 1), rows - 1)
-    return k, 0
+        left -= pieces[k][0]
+    return k
 
 
-def _child_files(jobs, cut):
-    """The files of the child's share (trajectory jobs, the first from step row
-    `cut`), as (path, whether it continues a file this process began, text
-    writer and its arguments), in write order."""
-    files = []
-    for _, emit, traj, *_, path in jobs:
-        if emit is emit_trajectory_csv:
-            files.append((path, cut > 0, (_write_trajectory_rows, traj, cut, len(traj))))
-            files.append((_summary_path(path), False, (_write_trajectory_summary, traj)))
-        else:  # its heatmap
-            files.append((path, False, (_write_heatmap, traj)))
-        cut = 0
-    return files
-
-
-def _format(memfd, files):
-    """Format `files` one after another into `memfd`; returns the offset each
+def _format(memfd, pieces):
+    """Format `pieces` one after another into `memfd`; returns the offset each
     ends at, and the exception that stopped them or None."""
     ends = []
     with os.fdopen(memfd, "w", encoding="utf-8", newline="", closefd=False) as fh:
         try:
-            for _, _, (write, *args) in files:
+            for _, _, write, *args in pieces:
                 write(fh, *args)
                 ends.append(fh.tell())
         except Exception as exc:  # raised by this process, in write order
@@ -186,19 +189,19 @@ def _copy(memfd, start, end, path, append):
         os.close(fd)
 
 
-def _emit_forked(jobs):
-    """`_emit` with a forked child that formats the tail of the jobs (`_split`)
-    into a memfd and sends back where each file ends, pickled through a pipe.
-    This process writes its own share as it formats it, reaps the child, also
-    when it raises, and then copies the child's bytes into their files."""
-    k, cut = _split(jobs)
-    own, files = jobs[:k], _child_files(jobs[k:], cut)
-    if cut:
-        own.append((0, _emit_trajectory_rows, jobs[k][2], jobs[k][3], cut))
+def _write_forked(pieces):
+    """`_write_here` with a forked child that formats the tail of the pieces
+    (`_split`) into a memfd and sends back where each piece ends, pickled
+    through a pipe. This process writes its own share as it formats it, reaps
+    the child, also when it raises, and then copies the child's bytes into
+    their files, after its own last file's bytes where the child's first
+    piece continues that file."""
+    k = _split(pieces)
+    own, child = pieces[:k], pieces[k:]
     try:
         memfd = os.memfd_create("votfield-export", os.MFD_CLOEXEC)
     except OSError:  # no memfd here: write every file in this process
-        return _emit(jobs)
+        return _write_here(pieces)
     try:
         read, write = os.pipe()
         try:
@@ -206,12 +209,12 @@ def _emit_forked(jobs):
         except OSError:  # no process to spare: write every file here
             os.close(read)
             os.close(write)
-            return _emit(jobs)
+            return _write_here(pieces)
         if pid == 0:  # never returns: os._exit skips the caller's cleanup
             status = 1
             try:
                 os.close(read)
-                data = pickle.dumps(_format(memfd, files))
+                data = pickle.dumps(_format(memfd, child))
                 with os.fdopen(write, "wb") as fh:
                     fh.write(data)
                 status = 0
@@ -219,7 +222,7 @@ def _emit_forked(jobs):
                 os._exit(status)
         os.close(write)
         try:
-            written = _emit(own)
+            written = _write_here(own)
         finally:
             try:
                 with os.fdopen(read, "rb") as fh:
@@ -230,7 +233,9 @@ def _emit_forked(jobs):
             raise ChildProcessError(f"the export's child process ended with status {status}")
         ends, error = pickle.loads(data)
         start = 0
-        for (path, append, _), end in zip(files, ends):
+        for path, done in groupby(zip(ends, child), key=lambda end_piece: end_piece[1][1]):
+            end = max(end for end, _ in done)
+            append = path == written[-1]
             _copy(memfd, start, end, path, append)
             if not append:
                 written.append(path)
@@ -245,19 +250,8 @@ def _emit_forked(jobs):
 def _write(out, stem, sweep, kind, trajectories):
     """Write a run's CSV and SVG files; returns their paths in write order.
     Where `_fork_export` allows, a forked child formats about half of them."""
-    # costs: a trajectory's CSV (with its summary) takes about twice as long
-    # as its heatmap, and the sweep's own files are small
-    jobs = []
-    if sweep is not None:
-        jobs.append((0, emit_sweep_csv, sweep, out / f"{stem}.csv"))
-    if kind is not None:
-        jobs.append((0, render_plots, sweep, kind, out / f"{stem}.svg"))
-    for tag in sorted(trajectories):
-        name = f"{stem}_traj_{tag}" if tag else stem
-        jobs.append((2, emit_trajectory_csv, trajectories[tag], out / f"{name}.csv"))
-        jobs.append((1, render_plots, trajectories[tag], "field_evolution_heatmap",
-                     out / f"{name}.svg"))
-    return _emit_forked(jobs) if _fork_export(trajectories) else _emit(jobs)
+    pieces = _pieces(out, stem, sweep, kind, trajectories)
+    return _write_forked(pieces) if _fork_export(trajectories) else _write_here(pieces)
 
 
 def cli_main(argv=None):

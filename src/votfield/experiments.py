@@ -212,14 +212,12 @@ def _parts(n, size):
 
 def _tiles(n_cells, n_trials):
     """The (cells, trials) slices of a run's engine tiles, of at most _CHUNK
-    rows, in trial order: some trials of every cell, in at least two tiles
-    for the two threads, or, where there are more cells than _CHUNK, one
-    trial of each group of cells."""
-    if n_cells > _CHUNK:
-        groups = _parts(n_cells, _CHUNK)
-        return [(cells, slice(i, i + 1)) for i in range(n_trials) for cells in groups]
-    per = min(_CHUNK // n_cells, -(-n_trials // 2))
-    return [(slice(0, n_cells), trials) for trials in _parts(n_trials, per)]
+    rows, in trial order: the cells in groups of at most _CHUNK, and as many
+    trials of each group as fit beside the largest, in at least two tiles
+    for the two threads."""
+    groups = _parts(n_cells, _CHUNK)
+    per = min(_CHUNK // max(g.stop - g.start for g in groups), -(-n_trials // 2))
+    return [(cells, trials) for trials in _parts(n_trials, per) for cells in groups]
 
 
 def _run_cells(cfg, conditions, keep_final=False):
@@ -406,15 +404,16 @@ def example_trajectory(config, condition, master_seed, trial_index=0):
 def _example_trajectories(config, conditions, master_seed, trial_index=0):
     """`example_trajectory` of each condition, run as one engine batch of a
     row per condition on the trial's noise; the first diverging condition
-    raises IntegrationDivergedError (with its step only)."""
+    raises IntegrationDivergedError (with its step and the trial's seed)."""
     if not conditions:
         return []
     cfg = default_config() if config is None else config
     params = cfg.field
     drives = np.array([compose_inputs(_condition_inputs(cfg, c), params.field_size)
                        for c in conditions])
-    noise = draw_noise(params, np.random.default_rng(trial_seed(master_seed, trial_index)))
-    return trajectories(params, initial_state(params).u, drives, noise)
+    seed = trial_seed(master_seed, trial_index)
+    noise = draw_noise(params, np.random.default_rng(seed))
+    return trajectories(params, initial_state(params).u, drives, noise, seed)
 
 
 def replicate_named(name, master_seed=None, config=None, n_trials=None, method=None):

@@ -258,10 +258,11 @@ def evolve(initial, inputs, params, rng, *, keep_states=True):
     return traj
 
 
-def trajectories(params, u0, drives, noise):
+def trajectories(params, u0, drives, noise, seed=None):
     """The `Trajectory` of each row of the (rows, n) `drives`, run from `u0`
     as one engine batch on one trial's (n_steps, n) `noise`; the first
-    diverging row raises IntegrationDivergedError (with its step only)."""
+    diverging row raises IntegrationDivergedError with its step and `seed`,
+    the trial's seed where the caller knows it."""
     table = backends.toeplitz(build_kernel(params).weights)
     run = backends.evolve_batch(params, u0, drives, table,
                                 np.broadcast_to(noise, (len(drives),) + noise.shape),
@@ -269,7 +270,7 @@ def trajectories(params, u0, drives, noise):
     out = []
     for row, states in enumerate(run.states):
         if run.diverged[row] >= 0:
-            raise IntegrationDivergedError(step=int(run.diverged[row]))
+            raise IntegrationDivergedError(step=int(run.diverged[row]), seed=seed)
         crossed = run.first_step[row] >= 0
         out.append(Trajectory(
             states=states, final=FieldState(run.final[row]),

@@ -28,27 +28,51 @@ def _cell(v):
     return str(v)
 
 
-def _open_csv(path):
+class _File:
+    """A text file opened at its first write, in place of what its path held,
+    so a writer that fails before its first byte leaves no file."""
+
+    fh = None
+
+    def __init__(self, path):
+        self.path = path
+
+    def write(self, text):
+        if self.fh is None:
+            self.fh = open(self.path, "w", newline="", encoding="utf-8")
+        return self.fh.write(text)
+
+
+def _write_file(path, write, *args):
+    """Write `path`, and any directory it lacks, with the text writer
+    `write(fh, *args)`; returns the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    fh = _File(path)
+    try:
+        write(fh, *args)
+    finally:
+        if fh.fh is not None:
+            fh.fh.close()
     return path
+
+
+def _write_sweep(fh, result):
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(SWEEP_COLUMNS)
+    for c in result.cells:
+        writer.writerow([
+            _cell(c.condition.a_target), _cell(c.condition.a_mp),
+            _cell(c.n_trials), _cell(c.mean_vot), _cell(c.sd_vot),
+            _cell(c.sem_vot), _cell(c.skewness), _cell(c.ch_ms),
+            _cell(c.frac_stabilized), _cell(c.mean_time_to_threshold),
+            result.readout_method, _cell(result.master_seed),
+        ])
 
 
 def emit_sweep_csv(result, path):
     """One row per condition, grid order (a_target outer asc, a_mp inner asc)."""
-    path = _open_csv(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
-        for c in result.cells:
-            writer.writerow([
-                _cell(c.condition.a_target), _cell(c.condition.a_mp),
-                _cell(c.n_trials), _cell(c.mean_vot), _cell(c.sd_vot),
-                _cell(c.sem_vot), _cell(c.skewness), _cell(c.ch_ms),
-                _cell(c.frac_stabilized), _cell(c.mean_time_to_threshold),
-                result.readout_method, _cell(result.master_seed),
-            ])
-    return path
+    return _write_file(path, _write_sweep, result)
 
 
 def _states(traj, what):
@@ -78,28 +102,16 @@ def _write_trajectory_rows(fh, traj, start, stop):
 
 def _write_trajectory_summary(fh, traj):
     fh.write("step,max_u,n_above_threshold\n")
-    fh.writelines("%d,%r,%d\n" % row for row in zip(
-        range(len(traj)), traj.max_u.tolist(), traj.n_above.tolist()))
-
-
-def _emit_trajectory_rows(traj, path, stop):
-    """The header and the step rows before `stop` of a trajectory's long CSV."""
-    _states(traj, "export")
-    path = _open_csv(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        _write_trajectory_rows(fh, traj, 0, stop)
-    return path
+    fh.write("".join("%d,%r,%d\n" % row for row in zip(
+        range(len(traj)), traj.max_u.tolist(), traj.n_above.tolist())))
 
 
 def emit_trajectory_csv(traj, path):
     """Long-format (step, x, u) dump plus a per-step summary file
     (step, max_u, n_above_threshold), which lands next to `path` with an
     `_summary` suffix."""
-    path = _emit_trajectory_rows(traj, path, len(traj))
-    summary_path = _summary_path(path)
-    with summary_path.open("w", newline="", encoding="utf-8") as fh:
-        _write_trajectory_summary(fh, traj)
-    return path, summary_path
+    path = _write_file(path, _write_trajectory_rows, traj, 0, len(traj))
+    return path, _write_file(_summary_path(path), _write_trajectory_summary, traj)
 
 
 # ------------------------------------------------------------ SVG rendering
@@ -205,13 +217,6 @@ class _Svg:
             fh.write("\n")
         fh.write("</svg>\n")
 
-    def write(self, path):
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8") as fh:
-            self.dump(fh)
-        return path
-
 
 class _Axes:
     """Maps data coordinates onto a margin-framed plot box."""
@@ -261,7 +266,7 @@ def _colorbar(svg, x, y, height, vmax, pos_color, neg_color):
         svg.rect(x, y + k * height / steps, 14, height / steps + 0.05, fill)
 
 
-def _render_sweep_line(result, path):
+def _render_sweep_line(result):
     """mean_vot ± SEM against a_mp, reference line at the target center,
     highlighted conditions marked. Cells whose mean_vot is NaN (no trial gave
     a readout) are left out; the line breaks there."""
@@ -303,7 +308,7 @@ def _render_sweep_line(result, path):
                     svg.circle(ax.px(x), ax.py(c.mean_vot), 4.5, "#bc2426")
                 svg.text(ax.px(x), ax.t + 12, f"a_mp={x:g}", size=10, anchor="middle",
                          fill="#bc2426")
-    return svg.write(path)
+    return svg
 
 
 def _plot_heatmap(traj):
@@ -344,7 +349,7 @@ def _plot_heatmap(traj):
     return svg
 
 
-def _render_surface(result, path):
+def _render_surface(result):
     """ch_ms over the (a_mp, a_target) grid; yellow above the zero plane
     (hyperarticulation), blue below (trace), grey where ch_ms is NaN (no trial
     gave a readout)."""
@@ -391,11 +396,15 @@ def _render_surface(result, path):
     if missing.any():
         svg.rect(cb_x, cb_y + cb_h + 14, 14, 10, _NO_DATA)
         svg.text(cb_x + 20, cb_y + cb_h + 23, "no data", size=9)
-    return svg.write(path)
+    return svg
 
 
-def _write_heatmap(fh, traj):
-    _plot_heatmap(traj).dump(fh)
+def _write_plot(fh, data, kind):
+    render = {"sweep_line": _render_sweep_line, "field_evolution_heatmap": _plot_heatmap,
+              "surface_2d": _render_surface}.get(kind)
+    if render is None:
+        raise ConfigError(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
+    render(data).dump(fh)
 
 
 def render_plots(data, kind, path):
@@ -404,10 +413,4 @@ def render_plots(data, kind, path):
     kinds: sweep_line (SweepResult), field_evolution_heatmap (Trajectory with
     states), surface_2d (SweepResult grid).
     """
-    if kind == "sweep_line":
-        return _render_sweep_line(data, path)
-    if kind == "field_evolution_heatmap":
-        return _plot_heatmap(data).write(path)
-    if kind == "surface_2d":
-        return _render_surface(data, path)
-    raise ConfigError(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
+    return _write_file(path, _write_plot, data, kind)

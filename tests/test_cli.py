@@ -156,6 +156,20 @@ def test_bad_config_exits_one_with_stderr_message(tmp_path, capsys):
     assert err.startswith("error: ") and "not found" not in err
 
 
+def test_a_diverging_simulate_names_its_trial_seed(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"field": {"dt": 50, "tau": 1, "n_steps": 300}}))
+    seed = experiments.trial_seed(load_config(cfg).master_seed, 0)
+    argv = ["--config", str(cfg), "--out", str(tmp_path / "o")]
+    code, out, err = run_cli(["simulate"] + argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: field integration diverged (non-finite activation) at step 182 "
+                   f"(trial seed {seed})\n")
+    # the sweep of replicate fig7 names the same trial 0
+    code, out, err = run_cli(["replicate", "fig7"] + argv, capsys)
+    assert (code, out) == (1, "") and err.endswith(f" (trial seed {seed})\n")
+
+
 COMMANDS = ([["simulate"], ["batch"], ["sweep1d"], ["sweep2d"]]
             + [["replicate", name] for name in REPLICATIONS + ("conditions",)])
 
@@ -176,29 +190,25 @@ def test_report_names_every_written_file_and_one_line_per_cell(command, tmp_path
     wrote = lines[-1][len("wrote "):].split(", ")
     assert sorted(wrote) == sorted(str(p) for p in out_dir.iterdir())
 
-    # the order the emitters return their paths in, recorded on the
-    # in-process path: a forked child's return values never reach this process
-    emitted = []
+    # the order the files are opened in, recorded on the in-process path:
+    # a forked child's files are opened only when their bytes are copied
+    opened = []
 
-    def recording(fn):
-        def emit(*args, **kwargs):
-            paths = fn(*args, **kwargs)
-            emitted.extend(paths if isinstance(paths, tuple) else [paths])
-            return paths
-        return emit
+    def recording_open(path, *args, **kwargs):
+        opened.append(str(path))
+        return open(path, *args, **kwargs)
 
-    for name in ("emit_sweep_csv", "emit_trajectory_csv", "render_plots"):
-        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    monkeypatch.setattr(outputs, "open", recording_open, raising=False)
     monkeypatch.setattr(cli, "_fork_export", lambda trajectories: False)
     shutil.rmtree(out_dir)
     assert run_cli(argv, capsys)[0] == 0
-    assert wrote == [str(p) for p in emitted]
+    assert wrote == opened
 
     stats = [line for line in lines if line.startswith("a_target=")]
     if command[0] == "simulate":
         assert stats == [] and "stabilized: " in out
         return
-    rows = emitted[0].read_text().splitlines()[1:]  # the sweep CSV is written first
+    rows = Path(opened[0]).read_text().splitlines()[1:]  # the sweep CSV is written first
     assert len(stats) == len(rows) > 0
     for line, row in zip(stats, rows):
         a_target, a_mp = row.split(",")[:2]
@@ -321,10 +331,19 @@ def test_forked_export_raises_a_formatting_error_in_write_order(tmp_path, capfd,
 
 def forked_and_in_process(argv, out_dir, capsys, monkeypatch):
     """run_and_collect of `argv` on the forked path (forced, whatever the
-    cores) and then in one process, with the `_split` of the forked run."""
+    cores) and then in one process, with the `_split` of the forked run as
+    (index of the child's first piece, its file name, the first step row it
+    writes, or None where it is no step rows)."""
     splits = []
     split = cli._split
-    monkeypatch.setattr(cli, "_split", lambda jobs: splits.append(split(jobs)) or splits[-1])
+
+    def recorded(pieces):
+        k = split(pieces)
+        _, path, write, *args = pieces[k]
+        splits.append((k, path.name, args[1] if write is outputs._write_trajectory_rows else None))
+        return k
+
+    monkeypatch.setattr(cli, "_split", recorded)
     monkeypatch.setattr(cli, "_fork_export", lambda trajectories: True)
     forked = run_and_collect(argv, out_dir, capsys)
     assert_no_child_left()
@@ -332,20 +351,34 @@ def forked_and_in_process(argv, out_dir, capsys, monkeypatch):
     return forked, run_and_collect(argv, out_dir, capsys), splits
 
 
-@pytest.mark.parametrize("command, n_steps, split", [
-    (["simulate"], 1, (0, 1)),  # 2 rows: one to each side
-    (["simulate"], 2, (0, 2)),  # 3 rows: the last to the child
-    (["simulate"], None, (0, 91)),  # 121 rows: the last 30 to the child
-    (["replicate", "fig6"], None, (4, 91)),  # the middle trajectory's CSV
-    (["replicate", "conditions"], None, (6, 0)),  # 2 of 4 trajectories: no cut
-], ids=["simulate-2-rows", "simulate-3-rows", "simulate", "fig6", "conditions"])
+# a field of two positions, where one row of the engine is padded to two
+FIELD_SIZE_2 = {"field": {"field_size": 2, "n_steps": 1},
+                "inputs": [{"label": "target", "p": 1}, {"label": "mp", "p": 0}]}
+
+
+@pytest.mark.parametrize("command, config, split", [
+    # 2 and 3 rows: the child formats the summary and the heatmap
+    (["simulate"], {"field": {"n_steps": 1}}, (2, "trajectory_summary.csv", None)),
+    (["simulate"], {"field": {"n_steps": 2}}, (3, "trajectory_summary.csv", None)),
+    (["simulate"], {"field": {"n_steps": 3}}, (3, "trajectory.csv", 3)),  # 4 rows: the last
+    (["simulate"], None, (3, "trajectory.csv", 90)),  # 121 rows: the last 31 rows on
+    # the middle trajectory's last 31 rows on, after the sweep's two files
+    (["replicate", "fig6"], None, (11, "fig6_traj_amp-6.csv", 90)),
+    # 2 of 4 trajectories: the third trajectory's file from its header on
+    (["replicate", "conditions"], None, (14, "conditions_bbg2009_traj_no_context.csv", 0)),
+    (["simulate"], FIELD_SIZE_2, (2, "trajectory_summary.csv", None)),
+    (["replicate", "fig7", "--trials", "1"], FIELD_SIZE_2,
+     (8, "fig7_traj_amp-6_summary.csv", None)),
+], ids=["simulate-2-rows", "simulate-3-rows", "simulate-4-rows", "simulate", "fig6", "conditions",
+        "simulate-field-size-2", "fig7-field-size-2"])
 def test_forked_export_cut_at_a_step_row_writes_what_one_process_writes(
-        command, n_steps, split, tmp_path, capsys, monkeypatch):
-    argv = command + ["--trials", "2", "--seed", "5", "--out", str(tmp_path / "o")]
-    if n_steps is not None:
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"field": {"n_steps": n_steps}}))
-        argv += ["--config", str(config)]
+        command, config, split, tmp_path, capsys, monkeypatch):
+    argv = command + ["--seed", "5", "--out", str(tmp_path / "o")]
+    if "--trials" not in command:
+        argv += ["--trials", "2"]
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "config.json")]
     forked, in_process, splits = forked_and_in_process(argv, tmp_path / "o", capsys,
                                                        monkeypatch)
     assert splits == [split]
@@ -356,16 +389,13 @@ def test_forked_export_cut_at_a_step_row_writes_what_one_process_writes(
 @pytest.mark.parametrize("rows", [1, 2, 3, 4, 7, 121])
 @pytest.mark.parametrize("sweep", [False, True])
 def test_no_cut_leaves_an_empty_side(trajectories, rows, sweep):
-    traj = np.zeros((rows, 2))  # _split reads only len() of a trajectory
-    jobs = [(0, cli.emit_sweep_csv, None, "s.csv"), (0, cli.render_plots, None, "k", "s.svg")]
-    jobs = jobs[:2 * sweep]
-    for t in range(trajectories):
-        jobs += [(2, cli.emit_trajectory_csv, traj, f"{t}.csv"),
-                 (1, cli.render_plots, traj, "field_evolution_heatmap", f"{t}.svg")]
-    k, cut = cli._split(jobs)
-    assert 0 < k + cut and k < len(jobs)  # this process and the child each get something
-    if cut:
-        assert jobs[k][1] is cli.emit_trajectory_csv and 0 < cut < rows
+    traj = np.zeros((rows, 2))  # the pieces read only len() of a trajectory
+    pieces = cli._pieces(Path("o"), "s", object() if sweep else None,
+                         "sweep_line" if sweep else None,
+                         {str(t): traj for t in range(trajectories)})
+    k = cli._split(pieces)
+    assert 0 < k < len(pieces)  # this process and the child each get a piece
+    assert sum(piece[0] for piece in pieces[k:]) <= sum(piece[0] for piece in pieces) / 2 + 1e-9
 
 
 def test_export_child_that_cannot_send_its_results_fails_the_run(tmp_path, capfd,

@@ -82,6 +82,27 @@ def test_sweep_cells_keep_their_results_when_split_into_groups(monkeypatch):
         np.testing.assert_equal(cells(chunk), ref, err_msg=f"_CHUNK={chunk}")
 
 
+@pytest.mark.parametrize("n_cells", [1, 2, 3, 4, 21, 64, 127, 128, 129, 200, 231, 256, 257,
+                                     400])
+def test_tiles_are_whole_trials_of_cell_groups_of_at_most_a_chunk(n_cells):
+    # the tiles of the rule with a branch for more cells than _CHUNK: one
+    # trial of each group of cells there, else some trials of every cell
+    chunk = experiments._CHUNK
+    for n_trials in (1, 2, 3, 7, 10, 128, 255, 256, 500):
+        if n_cells > chunk:
+            groups = experiments._parts(n_cells, chunk)
+            ref = [(cells, slice(i, i + 1)) for i in range(n_trials) for cells in groups]
+        else:
+            per = min(chunk // n_cells, -(-n_trials // 2))
+            ref = [(slice(0, n_cells), trials)
+                   for trials in experiments._parts(n_trials, per)]
+        tiles = experiments._tiles(n_cells, n_trials)
+        assert tiles == ref, (n_cells, n_trials)
+        sizes = [(c.stop - c.start) * (t.stop - t.start) for c, t in tiles]
+        assert max(sizes) <= chunk and sum(sizes) == n_cells * n_trials
+        assert len(tiles) >= min(n_trials, 2)
+
+
 def test_recorded_seed_reproduces_trial_standalone():
     trials = run_trials(condition=Condition(6.0, -3.0), n_trials=4, master_seed=11)
     traj = example_trajectory(None, Condition(6.0, -3.0), 11, trial_index=2)
@@ -254,7 +275,8 @@ def test_replication_trajectory_divergence_raises_like_a_single_run():
         example_trajectory(cfg, Condition(6.0, 1e308), 1)
     with pytest.raises(IntegrationDivergedError) as err:
         experiments._example_trajectories(cfg, [Condition(6.0, 0.0), Condition(6.0, 1e308)], 1)
-    assert (err.value.step, err.value.seed) == (single.value.step, None)
+    assert (err.value.step, err.value.seed) == (single.value.step, trial_seed(1, 0))
+    assert single.value.seed == trial_seed(1, 0)
 
 
 def test_a_run_holds_two_tiles_of_noise_blocks():
