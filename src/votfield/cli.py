@@ -12,10 +12,9 @@ line naming the files it wrote, in write order.
 import argparse
 import logging
 import os
-import pickle
 import sys
 import threading
-from itertools import groupby
+from itertools import chain, groupby
 from pathlib import Path
 
 from .config import load_config, serialize_config
@@ -23,7 +22,7 @@ from .errors import ConfigError, IntegrationDivergedError
 from .experiments import (REPLICATION_ALIASES, REPLICATIONS, _default_condition, _parts,
                           _resolved, _sweep, _usable_cores, example_trajectory, replicate_named,
                           sweep_1d, sweep_2d)
-from .outputs import (_summary_path, _write_file, _write_plot, _write_sweep,
+from .outputs import (_File, _summary_path, _write_file, _write_plot, _write_sweep,
                       _write_trajectory_rows, _write_trajectory_summary)
 from .readout import METHODS, trial_metrics
 
@@ -144,9 +143,9 @@ def _write_pieces(fh, pieces):
 
 
 def _write_here(pieces):
-    """Write `pieces` in this process, each path opened once; returns the
-    paths in write order."""
-    return [_write_file(path, _write_pieces, list(same))
+    """Write `pieces` in this process, each path opened once and its pieces
+    written as they come; returns the paths in write order."""
+    return [_write_file(path, _write_pieces, same)
             for path, same in groupby(pieces, key=lambda piece: piece[1])]
 
 
@@ -161,89 +160,56 @@ def _split(pieces):
     return k
 
 
-def _format(memfd, pieces):
-    """Format `pieces` one after another into `memfd`; returns the offset each
-    ends at, and the exception that stopped them or None."""
-    ends = []
-    with os.fdopen(memfd, "w", encoding="utf-8", newline="", closefd=False) as fh:
-        try:
-            for _, _, write, *args in pieces:
-                write(fh, *args)
-                ends.append(fh.tell())
-        except Exception as exc:  # raised by this process, in write order
-            return ends, exc
-    return ends, None
-
-
-def _copy(memfd, start, end, path, append):
-    """Write bytes start..end of `memfd` to `path`, after what it holds if
-    `append`, else in place of it (sendfile takes no O_APPEND file)."""
-    flags = os.O_WRONLY if append else os.O_WRONLY | os.O_CREAT | os.O_TRUNC
-    fd = os.open(path, flags, 0o666)
-    try:
-        if append:
-            os.lseek(fd, 0, os.SEEK_END)
-        while start < end:
-            start += os.sendfile(fd, memfd, start, end - start)
-    finally:
-        os.close(fd)
+def _handed_back(pieces, memfd, ends):
+    """The child's share `pieces` for `_write_here`: each one the child
+    finished as a copy of its bytes in `memfd`, and from the first one it did
+    not finish on, each as it is, to be formatted here. `ends` is the pipe
+    that gives where each finished piece ends in `memfd`."""
+    start = 0
+    for piece in pieces:
+        end = ends.read(8)
+        if len(end) < 8:  # the child stopped
+            yield piece
+        else:
+            end = int.from_bytes(end, sys.byteorder)
+            yield (*piece[:2], _File.copy, memfd, start, end)
+            start = end
 
 
 def _write_forked(pieces):
     """`_write_here` with a forked child that formats the tail of the pieces
-    (`_split`) into a memfd and sends back where each piece ends, pickled
-    through a pipe. This process writes its own share as it formats it, reaps
-    the child, also when it raises, and then copies the child's bytes into
-    their files, after its own last file's bytes where the child's first
-    piece continues that file."""
+    (`_split`) into a memfd and sends through a pipe the offset where each
+    piece ends, 8 bytes as each is done. This process writes every file in
+    one pass over its own pieces and then the child's (`_handed_back`): a
+    piece the child finished is copied from the memfd, any other is
+    formatted here, so the files, their bytes and any error are those of one
+    process, also where the child stops early."""
     k = _split(pieces)
-    own, child = pieces[:k], pieces[k:]
+    opened = []
     try:
-        memfd = os.memfd_create("votfield-export", os.MFD_CLOEXEC)
-    except OSError:  # no memfd here: write every file in this process
+        opened.append(os.memfd_create("votfield-export", os.MFD_CLOEXEC))
+        opened += os.pipe()
+        pid = os.fork()
+    except OSError:  # no memfd, pipe or process to spare: write every file here
+        for fd in opened:
+            os.close(fd)
         return _write_here(pieces)
-    try:
-        read, write = os.pipe()
+    memfd, read, write = opened
+    if pid == 0:  # never returns: os._exit skips the caller's cleanup
         try:
-            pid = os.fork()
-        except OSError:  # no process to spare: write every file here
             os.close(read)
-            os.close(write)
-            return _write_here(pieces)
-        if pid == 0:  # never returns: os._exit skips the caller's cleanup
-            status = 1
-            try:
-                os.close(read)
-                data = pickle.dumps(_format(memfd, child))
-                with os.fdopen(write, "wb") as fh:
-                    fh.write(data)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(write)
-        try:
-            written = _write_here(own)
-        finally:
-            try:
-                with os.fdopen(read, "rb") as fh:
-                    data = fh.read()
-            finally:
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if status != 0:
-            raise ChildProcessError(f"the export's child process ended with status {status}")
-        ends, error = pickle.loads(data)
-        start = 0
-        for path, done in groupby(zip(ends, child), key=lambda end_piece: end_piece[1][1]):
-            end = max(end for end, _ in done)
-            append = path == written[-1]
-            _copy(memfd, start, end, path, append)
-            if not append:
-                written.append(path)
-            start = end
-        if error is not None:
-            raise error
-        return written
+            with os.fdopen(memfd, "w", encoding="utf-8", newline="", closefd=False) as fh:
+                for _, _, format_piece, *args in pieces[k:]:
+                    format_piece(fh, *args)
+                    os.write(write, fh.tell().to_bytes(8, sys.byteorder))
+        finally:  # an error stops the child; the calling process raises it again
+            os._exit(0)
+    os.close(write)
+    try:
+        with os.fdopen(read, "rb") as ends:
+            return _write_here(chain(pieces[:k], _handed_back(pieces[k:], memfd, ends)))
     finally:
+        os.waitpid(pid, 0)
         os.close(memfd)
 
 

@@ -27,7 +27,7 @@ from dataclasses import InitVar, asdict, dataclass, field as dc_field, fields
 from pathlib import Path
 
 from .errors import ConfigError
-from .field import FieldParams, _finite, _is_number
+from .field import FieldParams, _as_int, _finite
 from .readout import METHODS
 from .stimulus import GaussianInput
 
@@ -39,18 +39,6 @@ DEFAULT_INPUTS = (
 _TOP_KEYS = ("field", "inputs", "sweep", "n_trials", "master_seed", "readout", "out_dir")
 _FIELD_KEYS = tuple(f.name for f in fields(FieldParams))
 _INPUT_KEYS = tuple(f.name for f in fields(GaussianInput))
-
-
-def _as_number(key, val):
-    if not _is_number(val):
-        raise ConfigError(f"{key} must be a number, got {val!r}")
-    return _finite(key, val)
-
-
-def _as_int(key, val):
-    if not _is_number(val) or not float(val).is_integer():
-        raise ConfigError(f"{key} must be an integer, got {val!r}")
-    return int(val)
 
 
 @dataclass(frozen=True)
@@ -66,7 +54,7 @@ class SweepRange:
     def __post_init__(self, name):
         where = f"sweep {name}" if name else "sweep"
         for key in _RANGE_KEYS:
-            object.__setattr__(self, key, _as_number(f"{where} {key}", getattr(self, key)))
+            object.__setattr__(self, key, _finite(f"{where} {key}", getattr(self, key)))
         if self.step <= 0:
             raise ConfigError(f"{where} step must be > 0, got {self.step}")
         if self.lo > self.hi:
@@ -153,7 +141,7 @@ def _merge_inputs(entries):
         kwargs = {}
         for key in ("a", "p", "w"):
             if key in entry:
-                kwargs[key] = _as_number(f"input {label!r} {key}", entry[key])
+                kwargs[key] = _finite(f"input {label!r} {key}", entry[key])
             elif base is not None:
                 kwargs[key] = getattr(base, key)
             else:

@@ -39,6 +39,13 @@ def _finite(key, val):
     return float(val)
 
 
+def _as_int(key, val):
+    """`val` as an int; a ConfigError naming `key` unless it is an integral number."""
+    if not _is_number(val) or not float(val).is_integer():
+        raise ConfigError(f"{key} must be an integer, got {val!r}")
+    return int(val)
+
+
 @dataclass(frozen=True)
 class FieldParams:
     """Field constants plus discretization choices.
@@ -65,11 +72,8 @@ class FieldParams:
     noise_smooth_sigma: float = 0.0    # Gaussian smoothing of each noise vector; 0 = i.i.d.
 
     def __post_init__(self):
-        ints = {"field_size": self.field_size, "n_steps": self.n_steps}
-        for key, val in ints.items():
-            if not _is_number(val) or not float(val).is_integer():
-                raise ConfigError(f"{key} must be an integer, got {val!r}")
-            object.__setattr__(self, key, int(val))
+        for key in ("field_size", "n_steps"):
+            object.__setattr__(self, key, _as_int(key, getattr(self, key)))
         floats = ("tau", "h", "beta", "c_exc", "c_inh", "c_glob", "sigma_exc",
                   "sigma_inh", "q", "dt", "noise_smooth_sigma")
         for key in floats:

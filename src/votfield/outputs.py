@@ -6,6 +6,7 @@ rerunning with the same data reproduces byte-identical files.
 """
 
 import csv
+import os
 from itertools import groupby
 from pathlib import Path
 
@@ -41,6 +42,14 @@ class _File:
         if self.fh is None:
             self.fh = open(self.path, "w", newline="", encoding="utf-8")
         return self.fh.write(text)
+
+    def copy(self, fd, start, end):
+        """Write bytes start..end of the file `fd` after the text written so
+        far, by os.sendfile."""
+        self.write("")  # opens the file at its first write
+        self.fh.flush()
+        while start < end:
+            start += os.sendfile(self.fh.fileno(), fd, start, end - start)
 
 
 def _write_file(path, write, *args):

@@ -3,7 +3,6 @@
 import errno
 import json
 import os
-import pickle
 import shutil
 import subprocess
 import sys
@@ -191,7 +190,7 @@ def test_report_names_every_written_file_and_one_line_per_cell(command, tmp_path
     assert sorted(wrote) == sorted(str(p) for p in out_dir.iterdir())
 
     # the order the files are opened in, recorded on the in-process path:
-    # a forked child's files are opened only when their bytes are copied
+    # the forked path opens them here too, at their first byte written or copied
     opened = []
 
     def recording_open(path, *args, **kwargs):
@@ -273,7 +272,9 @@ def test_forked_export_writes_what_one_process_writes(command, seed, tmp_path, c
 
 # simulate writes the header and the first three quarters of the step rows of
 # trajectory.csv here; the child formats the last quarter, the summary and
-# trajectory.svg into a memfd, and this process copies them into the files
+# trajectory.svg into a memfd and sends where each ends, and this process
+# copies each into its file in write order, so it stops at the first error as
+# one process does
 @pytest.mark.parametrize("blocked", [["trajectory.csv"], ["trajectory_summary.csv"],
                                      ["trajectory.svg"], ["trajectory.svg", "trajectory.csv"]],
                          ids="+".join)
@@ -398,47 +399,73 @@ def test_no_cut_leaves_an_empty_side(trajectories, rows, sweep):
     assert sum(piece[0] for piece in pieces[k:]) <= sum(piece[0] for piece in pieces) / 2 + 1e-9
 
 
-def test_export_child_that_cannot_send_its_results_fails_the_run(tmp_path, capfd,
-                                                                 monkeypatch, forks):
-    def unpicklable(obj):
-        raise pickle.PicklingError("cannot send")
+# simulate's child formats the last 31 of its 121 step rows (its first piece),
+# the summary and the heatmap; where it stops, this process formats the
+# pieces it did not finish
+@pytest.mark.parametrize("stop", ["first piece", "inside the rows", "heatmap"])
+def test_export_child_that_stops_early_leaves_the_files_of_one_process(stop, tmp_path, capsys,
+                                                                       monkeypatch, forks):
+    parent = os.getpid()
+    write_rows, write_plot = cli._write_trajectory_rows, cli._write_plot
 
+    def rows(fh, traj, start, end):
+        if os.getpid() != parent and stop != "heatmap":
+            if stop == "inside the rows":  # five of its rows reach the memfd
+                write_rows(fh, traj, start, start + 5)
+                fh.flush()
+            os._exit(3)
+        write_rows(fh, traj, start, end)
+
+    def plot(fh, data, kind):
+        if os.getpid() != parent and stop == "heatmap":
+            os._exit(3)
+        write_plot(fh, data, kind)
+
+    copies = []
+    copy = outputs._File.copy
+
+    def counted(fh, *args):
+        copies.append(fh.path.name)
+        return copy(fh, *args)
+
+    monkeypatch.setattr(cli, "_write_trajectory_rows", rows)
+    monkeypatch.setattr(cli, "_write_plot", plot)
+    monkeypatch.setattr(outputs._File, "copy", counted)
     monkeypatch.setattr(cli, "_fork_export", lambda trajectories: True)
-    monkeypatch.setattr(pickle, "dumps", unpicklable)  # only the child pickles
-    code, out, err = run_cli(["simulate", "--out", str(tmp_path)], capfd)
+    argv = ["simulate", "--out", str(tmp_path / "o")]
+    before = sorted(os.listdir("/proc/self/fd"))
+    stopped = run_and_collect(argv, tmp_path / "o", capsys)
+    assert sorted(os.listdir("/proc/self/fd")) == before
     assert len(forks) == 1
+    # the pieces it finished are copied from the memfd
+    assert copies == (["trajectory.csv", "trajectory_summary.csv"] if stop == "heatmap" else [])
     assert_no_child_left()
-    assert (code, out) == (1, "")
-    assert "error: the export's child process ended with status 1" in err
-    assert "Traceback" not in err
+    assert stopped[0] == 0 and len(stopped[2]) == 3
+    monkeypatch.setattr(cli, "_fork_export", lambda trajectories: False)
+    assert run_and_collect(argv, tmp_path / "o", capsys) == stopped
 
 
-def test_export_writes_every_file_here_when_fork_fails(tmp_path, capsys, monkeypatch):
-    def no_fork():
-        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(cli, "_fork_export", lambda trajectories: True)
-    monkeypatch.setattr(os, "fork", no_fork)
-    code, out, _ = run_cli(["simulate", "--out", str(tmp_path)], capsys)
-    assert code == 0
-    wrote = out.splitlines()[-1][len("wrote "):].split(", ")
-    assert wrote == [str(tmp_path / name) for name in
-                     ("trajectory.csv", "trajectory_summary.csv", "trajectory.svg")]
-    assert sorted(wrote) == sorted(str(p) for p in tmp_path.iterdir())
-
-
-def test_export_writes_every_file_here_without_a_memfd(tmp_path, capsys, monkeypatch, forks):
-    def no_memfd(name, flags=0):
-        raise OSError(errno.ENOSYS, "Function not implemented")
+@pytest.mark.parametrize("call, error", [
+    ("memfd_create", OSError(errno.ENOSYS, "Function not implemented")),
+    ("pipe", OSError(errno.EMFILE, "Too many open files")),
+    ("fork", BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")),
+], ids=["memfd_create", "pipe", "fork"])
+def test_export_writes_every_file_here_when_its_set_up_fails(call, error, tmp_path, capsys,
+                                                             monkeypatch, forks):
+    def fails(*args):
+        raise error
 
     argv = ["replicate", "fig6", "--trials", "2", "--out", str(tmp_path / "o")]
     monkeypatch.setattr(cli, "_fork_export", lambda trajectories: True)
-    monkeypatch.setattr(os, "memfd_create", no_memfd)
-    without_memfd = run_and_collect(argv, tmp_path / "o", capsys)
+    monkeypatch.setattr(os, call, fails)
+    before = sorted(os.listdir("/proc/self/fd"))
+    failed = run_and_collect(argv, tmp_path / "o", capsys)
+    assert sorted(os.listdir("/proc/self/fd")) == before  # what was opened is closed
     assert forks == []
+    assert_no_child_left()
+    assert failed[0] == 0
     monkeypatch.setattr(cli, "_fork_export", lambda trajectories: False)
-    assert run_and_collect(argv, tmp_path / "o", capsys) == without_memfd
-    assert without_memfd[0] == 0
+    assert run_and_collect(argv, tmp_path / "o", capsys) == failed
 
 
 @pytest.mark.parametrize("blocked", [None, "trajectory.csv", "trajectory.svg"])

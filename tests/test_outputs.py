@@ -361,7 +361,8 @@ def test_exports_keep_the_bytes_of_the_per_value_writers(states, traj, tmp_path)
 def test_forked_exports_keep_the_bytes_of_the_per_value_writers(finite, tmp_path, monkeypatch):
     # the forked export cuts the CSV at a step row: this process writes the
     # rows before the cut, a forked child formats the rest, the summary and
-    # the heatmap into a memfd, and this process copies them into the files
+    # the heatmap into a memfd and sends where each ends through a pipe, and
+    # this process copies each into its file after what it wrote there
     traj = _states_trajectory(_awkward_states(finite))
     forks = []
     fork = os.fork
