@@ -59,6 +59,9 @@ class SweepRange:
             raise ConfigError(f"{where} step must be > 0, got {self.step}")
         if self.lo > self.hi:
             raise ConfigError(f"{where} lo must be <= hi, got lo={self.lo} hi={self.hi}")
+        if not (self.hi - self.lo) / self.step <= 1e6:
+            raise ConfigError(f"{where} step must leave at most a million values from lo to hi, "
+                              f"got lo={self.lo} hi={self.hi} step={self.step}")
 
     def values(self):
         n = int(math.floor((self.hi - self.lo) / self.step + 1e-9))
@@ -87,8 +90,9 @@ class RunConfig:
             if not isinstance(inp, GaussianInput):
                 raise ConfigError(f"inputs must be GaussianInput values, got {inp!r}")
         labels = [inp.label for inp in self.inputs]
-        if len(set(labels)) != len(labels):
-            raise ConfigError(f"input labels must be unique, got {labels}")
+        for k, label in enumerate(labels):
+            if label in labels[:k]:
+                raise ConfigError(f"duplicate input label {label!r}")
         object.__setattr__(self, "n_trials", _as_int("n_trials", self.n_trials))
         if self.n_trials < 1:
             raise ConfigError(f"n_trials must be >= 1, got {self.n_trials}")
@@ -128,29 +132,23 @@ def _merge_inputs(entries):
         raise ConfigError("inputs must be a JSON array")
     defaults = {inp.label: inp for inp in DEFAULT_INPUTS}
     merged = []
-    seen = set()
     for entry in entries:
         _check_keys(entry, _INPUT_KEYS, "input")
         label = entry.get("label")
         if not isinstance(label, str) or not label:
             raise ConfigError("each input needs a nonempty string 'label'")
-        if label in seen:
-            raise ConfigError(f"duplicate input label {label!r}")
-        seen.add(label)
         base = defaults.get(label)
         kwargs = {}
         for key in ("a", "p", "w"):
             if key in entry:
-                kwargs[key] = _finite(f"input {label!r} {key}", entry[key])
+                kwargs[key] = entry[key]
             elif base is not None:
                 kwargs[key] = getattr(base, key)
             else:
                 raise ConfigError(f"input {label!r} missing key {key!r}")
         merged.append(GaussianInput(label=label, **kwargs))
-    for inp in DEFAULT_INPUTS:
-        if inp.label not in seen:
-            merged.append(inp)
-    return tuple(merged)
+    labels = {inp.label for inp in merged}
+    return tuple(merged) + tuple(inp for inp in DEFAULT_INPUTS if inp.label not in labels)
 
 
 def _merge_range(raw, base, name):

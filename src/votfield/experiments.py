@@ -10,10 +10,8 @@ runs every cell of the tile on it through the engine. A batch is the
 one-cell case of a sweep.
 """
 
-import contextlib
 import ctypes
 import functools
-import itertools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -142,18 +140,11 @@ def _default_condition(cfg):
 
 
 def _condition_inputs(cfg, condition):
-    inputs = []
-    for inp in cfg.inputs:
-        if inp.label == "target":
-            inp = replace(inp, a=condition.a_target)
-        elif inp.label == "mp":
-            inp = replace(inp, a=condition.a_mp)
-        inputs.append(inp)
-    labels = [i.label for i in inputs]
-    if "target" not in labels or "mp" not in labels:
-        raise ConfigError("running conditions requires inputs labeled 'target' and 'mp', "
-                          f"got {labels}")
-    return tuple(inputs)
+    """The config's inputs with the condition's amplitudes on "target" and "mp"."""
+    target, mp = cfg.input_by_label("target"), cfg.input_by_label("mp")
+    return tuple(replace(inp, a=condition.a_target) if inp is target
+                 else replace(inp, a=condition.a_mp) if inp is mp else inp
+                 for inp in cfg.inputs)
 
 
 def _usable_cores():
@@ -178,28 +169,6 @@ def _blas_threads():
     get.argtypes, get.restype = [], ctypes.c_int
     put.argtypes, put.restype = [ctypes.c_int], None
     return get, put
-
-
-@contextlib.contextmanager
-def _second_thread(n_tiles):
-    """A one-worker pool for a second thread of tiles, with numpy's
-    OpenBLAS held at one thread until the worker is done; None, and the
-    BLAS left alone, for the serial path (`_blas_threads` is None, or a
-    single tile)."""
-    blas = _blas_threads() if n_tiles > 1 else None
-    if blas is None:
-        yield None
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    get, put = blas
-    old = get()
-    put(1)
-    try:
-        with ThreadPoolExecutor(1) as pool:
-            yield pool
-    finally:
-        put(old)
 
 
 def _parts(n, size):
@@ -234,8 +203,11 @@ def _run_cells(cfg, conditions, keep_final=False):
     `readout_rows`, plus (C, n, field_size) final fields when `keep_final`
     is set.
 
-    Raises the IntegrationDivergedError of the first diverging cell in
-    condition order, at its first diverging trial.
+    Every diverging row goes on one list as (cell, trial, step, seed); its
+    `min()` is raised as an IntegrationDivergedError, the first diverging
+    cell in condition order at its first diverging trial, whichever thread
+    finished first. Tiles taken later skip the cells above the lowest one
+    on the list.
     """
     params, n, master = cfg.field, cfg.n_trials, cfg.master_seed
     drives = np.array([compose_inputs(_condition_inputs(cfg, c), params.field_size)
@@ -254,7 +226,7 @@ def _run_cells(cfg, conditions, keep_final=False):
 
     def run_tile(cells, trials):
         """Run the tile block by block and read out its rows; returns
-        (cell, step, seed) of each diverging row, in (cell, trial) order."""
+        (cell, trial, step, seed) of each diverging row."""
         rngs = [np.random.default_rng(seed) for seed in seeds[trials]]
         # Room for _CHUNK trials whatever the tile's count; only its own rows
         # are touched. Freeing the first such buffer lifts glibc's mmap and
@@ -271,8 +243,8 @@ def _run_cells(cfg, conditions, keep_final=False):
                 params, u0, drives[cells, None], table,
                 np.broadcast_to(block, (cells.stop - cells.start,) + block.shape),
                 carry=run, t0=steps.start)
-        bad = [(cells.start + c, int(run.diverged[c, j]), seeds[trials.start + j])
-               for c, j in zip(*np.nonzero(run.diverged >= 0))]
+        bad = [(cells.start + c, trials.start + j, int(run.diverged[c, j]),
+                seeds[trials.start + j]) for c, j in zip(*np.nonzero(run.diverged >= 0))]
         if not bad:  # a run with a diverging row raises; it needs no readout
             vot[cells, trials], ttt[cells, trials], stab[cells, trials] = readout_rows(
                 run.final, run.first_step, run.first_pos, cfg.readout)
@@ -281,33 +253,40 @@ def _run_cells(cfg, conditions, keep_final=False):
         return bad
 
     tiles = _tiles(n_cells, n)
-    diverging = [[] for _ in tiles]  # run_tile's list of each tile
-    todo = iter(range(len(tiles)))  # each thread takes the next tile from here
-    live = [n_cells]  # cells after the lowest diverging one cannot be reported
+    todo = iter(tiles)  # each thread takes the next tile from here
+    diverging = []  # (cell, trial, step, seed) of every diverging row
 
     def run_tiles():
         try:
-            for k in todo:
-                cells, trials = tiles[k]
-                cells = slice(cells.start, min(cells.stop, live[0]))
-                if cells.start < cells.stop:
-                    diverging[k] = run_tile(cells, trials)
-                    if diverging[k]:
-                        live[0] = min(live[0], diverging[k][0][0] + 1)
+            for cells, trials in todo:
+                # cells above the lowest diverging one cannot be reported; a
+                # bound the other thread has just lowered only runs more cells
+                stop = min(cells.stop, min(diverging, default=(n_cells,))[0] + 1)
+                if cells.start < stop:
+                    diverging.extend(run_tile(slice(cells.start, stop), trials))
         finally:
             for _ in todo:  # a thread that raises stops the other at its next tile
                 pass
 
-    with _second_thread(len(tiles)) as pool:
-        second = pool.submit(run_tiles) if pool else None
+    blas = _blas_threads() if len(tiles) > 1 else None
+    if blas is None:
         run_tiles()
-        if second:
-            second.result()
-    # the lowest diverging cell's first row in tile order, which is its first
-    # diverging trial: a cell's tiles come in trial order
-    first = min(itertools.chain.from_iterable(diverging), key=lambda b: b[0], default=None)
-    if first is not None:
-        raise IntegrationDivergedError(step=first[1], seed=first[2])
+    else:  # a one-worker pool beside this thread, with the BLAS held at one thread
+        from concurrent.futures import ThreadPoolExecutor
+
+        get, put = blas
+        old = get()
+        put(1)
+        try:
+            with ThreadPoolExecutor(1) as pool:
+                second = pool.submit(run_tiles)
+                run_tiles()
+                second.result()
+        finally:
+            put(old)
+    if diverging:  # the lowest diverging cell's first diverging trial
+        _, _, step, seed = min(diverging)
+        raise IntegrationDivergedError(step=step, seed=seed)
     return seeds, vot, ttt, stab, final
 
 

@@ -15,6 +15,8 @@ increment is (dt/tau)*q*xi — not sqrt(dt)-scaled; see the `dt` field note.
 
 import functools
 import logging
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,16 +36,27 @@ def _is_number(val):
 
 def _finite(key, val):
     """`val` as a float; a ConfigError naming `key` unless it is a finite number."""
-    if not _is_number(val) or not np.isfinite(val):
-        raise ConfigError(f"{key} must be a finite number, got {val!r}")
-    return float(val)
+    try:
+        if _is_number(val) and math.isfinite(val):
+            return float(val)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise ConfigError(f"{key} must be a finite number, got {val!r}")
 
 
 def _as_int(key, val):
     """`val` as an int; a ConfigError naming `key` unless it is an integral number."""
-    if not _is_number(val) or not float(val).is_integer():
-        raise ConfigError(f"{key} must be an integer, got {val!r}")
-    return int(val)
+    if _is_number(val) and (isinstance(val, (int, np.integer)) or float(val).is_integer()):
+        return int(val)
+    raise ConfigError(f"{key} must be an integer, got {val!r}")
+
+
+def _width(key, val):
+    """A ConfigError naming `key` unless the Gaussian width `val` is > 0 and
+    its square, which exp(-x**2 / (2 val**2)) divides by, is neither 0 nor inf."""
+    if not (val > 0 and 0 < val * val < math.inf):
+        raise ConfigError(f"{key} must be > 0 with a square that is neither 0 nor inf, "
+                          f"got {val}")
 
 
 @dataclass(frozen=True)
@@ -79,15 +92,20 @@ class FieldParams:
         for key in floats:
             object.__setattr__(self, key, _finite(key, getattr(self, key)))
         if self.u_init is not None:
-            if not _is_number(self.u_init) or not np.isfinite(self.u_init):
-                raise ConfigError(f"u_init must be a finite number or null, got {self.u_init!r}")
-            object.__setattr__(self, "u_init", float(self.u_init))
-        for key in ("tau", "dt", "beta", "sigma_exc", "sigma_inh"):
+            object.__setattr__(self, "u_init", _finite("u_init", self.u_init))
+        for key in ("tau", "dt", "beta"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key} must be > 0, got {getattr(self, key)}")
+        for key in ("sigma_exc", "sigma_inh"):
+            _width(key, getattr(self, key))
         for key in ("c_exc", "c_inh", "c_glob", "q", "noise_smooth_sigma"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
+        # `_smoothing_weights` takes 8 sigma + 1 taps of exp(-0.5 / sigma**2 * x**2)
+        sigma = self.noise_smooth_sigma
+        if sigma and not (0.5 / sys.float_info.max < sigma * sigma and sigma <= 1e6):
+            raise ConfigError("noise_smooth_sigma must be 0, or at most 1e6 with "
+                              f"0.5 / noise_smooth_sigma**2 finite, got {sigma}")
         if self.field_size < 2:
             raise ConfigError(f"field_size must be >= 2, got {self.field_size}")
         if self.n_steps < 1:

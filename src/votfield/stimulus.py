@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .field import _finite
+from .field import _finite, _width
 
 logger = logging.getLogger(__name__)
 
@@ -34,8 +34,7 @@ class GaussianInput:
         for key in ("a", "p", "w"):
             val = _finite(f"input {self.label or key!r}: {key}", getattr(self, key))
             object.__setattr__(self, key, val)
-        if self.w <= 0:
-            raise ConfigError(f"input {self.label or 'gaussian'!r}: w must be > 0, got {self.w}")
+        _width(f"input {self.label or 'gaussian'!r}: w", self.w)
 
 
 def gaussian_profile(input, field_size):

@@ -155,6 +155,27 @@ def test_bad_config_exits_one_with_stderr_message(tmp_path, capsys):
     assert err.startswith("error: ") and "not found" not in err
 
 
+@pytest.mark.parametrize("raw, key", [
+    ({"inputs": [{"label": "mp", "w": 1e-320}]}, "'mp': w"),
+    ({"field": {"noise_smooth_sigma": 1e-300}}, "noise_smooth_sigma"),
+    ({"field": {"noise_smooth_sigma": 1e300}}, "noise_smooth_sigma"),
+    ({"sweep": {"a_mp": {"lo": 0.0, "hi": 1e300, "step": 1e-300}}}, "sweep a_mp step"),
+    ({"field": {"sigma_exc": 1e-320}}, "sigma_exc"),
+], ids=["w 1e-320", "noise_smooth_sigma 1e-300", "noise_smooth_sigma 1e300",
+        "sweep step 1e-300 to hi 1e300", "sigma_exc 1e-320"])
+def test_values_the_run_cannot_compute_are_config_errors(raw, key, tmp_path, capsys):
+    # each was accepted and then ended in a ZeroDivisionError, a ValueError
+    # from np.arange, an OverflowError, or a NaN kernel reported as a
+    # divergence at step 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    for command in ("validate-config", "simulate", "sweep1d"):
+        code, out, err = run_cli([command, "--config", str(cfg), "--trials", "2",
+                                  "--out", str(tmp_path / "o")], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and key in err and err.count("\n") == 1
+
+
 def test_a_diverging_simulate_names_its_trial_seed(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"field": {"dt": 50, "tau": 1, "n_steps": 300}}))

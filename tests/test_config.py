@@ -1,13 +1,18 @@
 """Config loading, label-based merging, validation, canonical serialization."""
 
+import copy
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from votfield import (ConfigError, SweepRange, config_from_dict, config_to_dict,
                       default_config, load_config, serialize_config)
+from votfield.cli import cli_main
 
 
 def write(tmp_path, data):
@@ -79,6 +84,11 @@ def test_unknown_keys_rejected_everywhere(raw, key):
     ({"out_dir": 3}, "out_dir"),
     ({"field": {"u_init": "awake"}}, "u_init"),
     ({"inputs": [{"label": "mp", "a": True}]}, "a"),
+    # integers beyond the float range, and widths whose square overflows
+    ({"field": {"tau": 10**400}}, "tau"),
+    ({"field": {"u_init": -10**400}}, "u_init"),
+    ({"field": {"sigma_inh": 1.4e154}}, "sigma_inh"),
+    ({"inputs": [{"label": "target", "w": 1e200}]}, "w"),
 ])
 def test_validation_errors_name_offending_key(raw, key):
     with pytest.raises(ConfigError, match=key):
@@ -130,6 +140,8 @@ def test_u_init_accepts_number_null_and_resting_sentinel():
     assert config_from_dict({"field": {"u_init": -2}}).field.u_init == -2.0
     assert config_from_dict({"field": {"u_init": None}}).field.u_init is None
     assert config_from_dict({"field": {"u_init": "resting"}}).field.u_init is None
+    # an int past numpy's 64-bit range but inside the float range is a number
+    assert config_from_dict({"field": {"u_init": -2**70}}).field.u_init == -2.0**70
 
 
 def test_sweep_range_builds_inclusive_grid():
@@ -162,3 +174,81 @@ def test_shipped_defaults_file_matches_resolved_empty_config():
     path = Path(__file__).resolve().parents[1] / "configs" / "defaults.json"
     assert load_config(path) == default_config()
     assert path.read_text() == serialize_config(default_config())
+
+
+# a small config that simulates in milliseconds, and the places where the
+# fuzz test below puts an odd value, deletes a key or adds one
+_SMALL = {"field": {"field_size": 48, "n_steps": 6, "noise_smooth_sigma": 1.0},
+          "inputs": [{"label": "target", "p": 30.0}, {"label": "mp", "p": 10.0, "w": 8.0}],
+          "sweep": {"a_mp": {"lo": -2.0, "hi": 2.0, "step": 1.0}},
+          "n_trials": 2, "master_seed": 3, "readout": "argmax"}
+_PATHS = ([("field", key) for key in config_to_dict(default_config())["field"]]
+          + [("inputs", i, key) for i in (0, 1) for key in ("label", "a", "p", "w")]
+          + [("sweep", "a_mp", key) for key in ("lo", "hi", "step")]
+          + [("sweep", "a_target", "step"), ("field",), ("inputs",), ("sweep",),
+             ("n_trials",), ("master_seed",), ("readout",), ("out_dir",)])
+_DELETE, _EXTRA = object(), object()
+_ODD = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-320, 1e-300,
+                     1e-160, 1e154, 1.4e154, 1e300, -1e300, 2**70, 10**400, True, False,
+                     None, "1", "resting", [], {}, _DELETE, _EXTRA]),
+    st.floats(), st.integers())
+
+
+def _edit(raw, path, value):
+    """Set the key at `path` in `raw` to `value`, delete it (_DELETE) or add
+    an unknown key beside it (_EXTRA), where its parents are still there."""
+    *parents, key = path
+    node = raw
+    for part in parents:
+        try:
+            node = node[part]
+        except (KeyError, IndexError, TypeError):
+            return
+    if not isinstance(node, dict):
+        return
+    if value is _DELETE:
+        node.pop(key, None)
+    elif value is _EXTRA:
+        node["bogus"] = 1
+    else:
+        node[key] = value
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(edits=st.lists(st.tuples(st.sampled_from(_PATHS), _ODD), max_size=3))
+# values that once ended in a traceback, whatever the draws find
+@example(edits=[(("inputs", 0, "w"), 1e-320)])
+@example(edits=[(("field", "noise_smooth_sigma"), 1e-300)])
+@example(edits=[(("field", "noise_smooth_sigma"), 1e300)])
+@example(edits=[(("field", "tau"), 2**70)])
+def test_fuzzed_configs_resolve_or_name_a_key_and_simulate_cleanly(edits, tmp_path, capfd):
+    # a small config with up to three values made wrong in type or size,
+    # keys deleted or unknown keys added: it resolves to a config that
+    # round-trips, or raises a ConfigError naming a key that an edit set,
+    # deleted or added; and simulate exits 0, or 1 with an error line, never
+    # with a traceback
+    raw = copy.deepcopy(_SMALL)
+    for path, value in edits:
+        _edit(raw, path, value)
+    try:
+        cfg = config_from_dict(json.loads(json.dumps(raw)))
+    except ConfigError as exc:
+        named = {part for path, _ in edits for part in path if isinstance(part, str)}
+        if "inputs" in named:  # an input given a new label lacks a, p and w
+            named |= {"a", "p", "w"}
+        assert any(re.search(rf"\b{key}\b", str(exc)) for key in named | {"bogus"}), str(exc)
+    else:
+        text = serialize_config(cfg)
+        again = config_from_dict(json.loads(text))
+        assert again == cfg and serialize_config(again) == text
+        if cfg.field.field_size > 64 or cfg.field.n_steps > 8:
+            return
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    capfd.readouterr()
+    code = cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capfd.readouterr().err
+    assert "Traceback" not in err
+    assert code == 0 or (code == 1 and err.startswith("error: ")), err

@@ -555,6 +555,48 @@ def test_a_divergence_in_the_second_tile_reports_its_own_seed(monkeypatch):
     assert first_divergence() == (61, trial_seed(1, 2))
 
 
+def test_the_reported_divergence_does_not_depend_on_which_thread_finishes_first(monkeypatch):
+    # 8 trials of one cell run as tiles of trials 0-3 and 4-7, one on each
+    # thread (with a stand-in BLAS setter where the host has none). A NaN
+    # kick diverges trial 2 at step 61 and trial 5 at step 11. The tile of
+    # trial 0 waits at its first engine call until the other tile has run
+    # all its steps, so trial 5's divergence is found first; trial 2's is
+    # reported, as it is when the tiles finish in order.
+    count = [1]
+    blas = experiments._blas_threads() or (lambda: count[0], lambda k: count.__setitem__(0, k))
+    monkeypatch.setattr(experiments, "_blas_threads", lambda: blas)
+    monkeypatch.setattr(experiments, "_CHUNK", 8)
+    kicked = _kicked({trial_seed(1, 2): (60, 100, math.nan), trial_seed(1, 5): (10, 100, math.nan)})
+    first_tile = {}  # thread -> whether its tile is the one of trial 0
+
+    def draw(params, rng, out=None):
+        first_tile.setdefault(threading.current_thread(),
+                              rng.bit_generator.seed_seq.entropy == trial_seed(1, 0))
+        return kicked(params, rng, out=out)
+
+    later_done = threading.Event()
+    finished = []  # first_tile of each tile, in the order the tiles finish
+    engine = backends.evolve_batch
+
+    def later_first(params, u0, drive, table, noise3, **kwargs):
+        first = first_tile[threading.current_thread()]
+        if first:
+            later_done.wait(10)
+        run = engine(params, u0, drive, table, noise3, **kwargs)
+        if kwargs["t0"] + noise3.shape[2] == params.n_steps:
+            finished.append(first)
+            later_done.set()
+        return run
+
+    monkeypatch.setattr(experiments, "draw_noise", draw)
+    monkeypatch.setattr(backends, "evolve_batch", later_first)
+    cfg = dataclasses.replace(default_config(), n_trials=8)
+    with pytest.raises(IntegrationDivergedError) as err:
+        experiments._sweep(cfg, (6.0,), (0.0,))
+    assert finished == [False, True] and len(first_tile) == 2
+    assert (err.value.step, err.value.seed) == (61, trial_seed(1, 2))
+
+
 def test_condition_requires_target_and_mp_labels():
     from votfield import GaussianInput, RunConfig
     cfg = RunConfig(inputs=(GaussianInput(6.0, 70.0, 30.0, "target"),))
