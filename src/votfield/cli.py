@@ -6,24 +6,21 @@ replicate (canned named campaigns), validate-config (resolve and print a
 config). Every run is fully determined by the config plus --seed, so
 repeating a command reproduces its outputs byte for byte. A run prints one
 stats line per sweep cell (simulate: its trial's readout), then one `wrote`
-line naming the files it wrote, in write order.
+line naming the files it wrote, in write order. Which files a run writes,
+and how, is `outputs.write_run`'s decision.
 """
 
 import argparse
 import logging
 import os
 import sys
-import threading
-from itertools import chain, groupby
 from pathlib import Path
 
 from .config import load_config, serialize_config
 from .errors import ConfigError, IntegrationDivergedError
-from .experiments import (REPLICATION_ALIASES, REPLICATIONS, _default_condition, _parts,
-                          _resolved, _sweep, _usable_cores, example_trajectory, replicate_named,
-                          sweep_1d, sweep_2d)
-from .outputs import (_File, _summary_path, _write_file, _write_plot, _write_sweep,
-                      _write_trajectory_rows, _write_trajectory_summary)
+from .experiments import (REPLICATION_ALIASES, REPLICATIONS, _default_condition, _resolved,
+                          _sweep, example_trajectory, replicate_named, sweep_1d, sweep_2d)
+from .outputs import write_run
 from .readout import METHODS, trial_metrics
 
 ENV_OUT = "VOTFIELD_OUT"  # default output directory when --out / out_dir are unset
@@ -107,119 +104,6 @@ def _run(args, cfg):
     return rep.name, rep.sweep, kind, rep.trajectories
 
 
-def _fork_export(trajectories):
-    """Whether `_write` shares the export with a forked child: where a run
-    exports a trajectory (its CSV and heatmap are most of the export's cost),
-    on Linux with two usable cores and memfds, and with no other Python thread
-    alive, since a fork copies only the calling thread."""
-    return (bool(trajectories) and sys.platform == "linux" and hasattr(os, "memfd_create")
-            and threading.active_count() == 1 and _usable_cores() >= 2)
-
-
-def _pieces(out, stem, sweep, kind, trajectories):
-    """A run's export as (cost, path, text writer, *its arguments) pieces in
-    write order: the sweep's CSV and plot, then for each trajectory its step
-    rows in up to four row ranges (the first with the header), its summary
-    and its heatmap. The costs: a trajectory's rows take about twice as long
-    as its heatmap, and the sweep's files and a summary are small."""
-    pieces = []
-    if sweep is not None:
-        pieces.append((0, out / f"{stem}.csv", _write_sweep, sweep))
-    if kind is not None:
-        pieces.append((0, out / f"{stem}.svg", _write_plot, sweep, kind))
-    for tag, traj in sorted(trajectories.items()):
-        path = out / (f"{stem}_traj_{tag}.csv" if tag else f"{stem}.csv")
-        rows = _parts(len(traj), -(-len(traj) // 4))
-        pieces += [(2 / len(rows), path, _write_trajectory_rows, traj, r.start, r.stop)
-                   for r in rows]
-        pieces += [(0, _summary_path(path), _write_trajectory_summary, traj),
-                   (1, path.with_suffix(".svg"), _write_plot, traj, "field_evolution_heatmap")]
-    return pieces
-
-
-def _write_pieces(fh, pieces):
-    for _, _, write, *args in pieces:
-        write(fh, *args)
-
-
-def _write_here(pieces):
-    """Write `pieces` in this process, each path opened once and its pieces
-    written as they come; returns the paths in write order."""
-    return [_write_file(path, _write_pieces, same)
-            for path, same in groupby(pieces, key=lambda piece: piece[1])]
-
-
-def _split(pieces):
-    """Where the child's share of the pieces starts: the tail of the pieces
-    up to half their total cost."""
-    left = sum(piece[0] for piece in pieces) / 2
-    k = len(pieces)
-    while pieces[k - 1][0] <= left:
-        k -= 1
-        left -= pieces[k][0]
-    return k
-
-
-def _handed_back(pieces, memfd, ends):
-    """The child's share `pieces` for `_write_here`: each one the child
-    finished as a copy of its bytes in `memfd`, and from the first one it did
-    not finish on, each as it is, to be formatted here. `ends` is the pipe
-    that gives where each finished piece ends in `memfd`."""
-    start = 0
-    for piece in pieces:
-        end = ends.read(8)
-        if len(end) < 8:  # the child stopped
-            yield piece
-        else:
-            end = int.from_bytes(end, sys.byteorder)
-            yield (*piece[:2], _File.copy, memfd, start, end)
-            start = end
-
-
-def _write_forked(pieces):
-    """`_write_here` with a forked child that formats the tail of the pieces
-    (`_split`) into a memfd and sends through a pipe the offset where each
-    piece ends, 8 bytes as each is done. This process writes every file in
-    one pass over its own pieces and then the child's (`_handed_back`): a
-    piece the child finished is copied from the memfd, any other is
-    formatted here, so the files, their bytes and any error are those of one
-    process, also where the child stops early."""
-    k = _split(pieces)
-    opened = []
-    try:
-        opened.append(os.memfd_create("votfield-export", os.MFD_CLOEXEC))
-        opened += os.pipe()
-        pid = os.fork()
-    except OSError:  # no memfd, pipe or process to spare: write every file here
-        for fd in opened:
-            os.close(fd)
-        return _write_here(pieces)
-    memfd, read, write = opened
-    if pid == 0:  # never returns: os._exit skips the caller's cleanup
-        try:
-            os.close(read)
-            with os.fdopen(memfd, "w", encoding="utf-8", newline="", closefd=False) as fh:
-                for _, _, format_piece, *args in pieces[k:]:
-                    format_piece(fh, *args)
-                    os.write(write, fh.tell().to_bytes(8, sys.byteorder))
-        finally:  # an error stops the child; the calling process raises it again
-            os._exit(0)
-    os.close(write)
-    try:
-        with os.fdopen(read, "rb") as ends:
-            return _write_here(chain(pieces[:k], _handed_back(pieces[k:], memfd, ends)))
-    finally:
-        os.waitpid(pid, 0)
-        os.close(memfd)
-
-
-def _write(out, stem, sweep, kind, trajectories):
-    """Write a run's CSV and SVG files; returns their paths in write order.
-    Where `_fork_export` allows, a forked child formats about half of them."""
-    pieces = _pieces(out, stem, sweep, kind, trajectories)
-    return _write_forked(pieces) if _fork_export(trajectories) else _write_here(pieces)
-
-
 def cli_main(argv=None):
     """Parse arguments, run the requested command, return the exit code."""
     parser = build_parser()
@@ -237,7 +121,7 @@ def cli_main(argv=None):
             return 0
         out = _out_dir(args, cfg)
         stem, sweep, kind, trajectories = _run(args, cfg)
-        written = _write(out, stem, sweep, kind, trajectories)
+        written = write_run(out, stem, sweep, kind, trajectories)
         lines = [_stats_line(stats) for stats in sweep.cells] if sweep is not None else []
         if args.command == "simulate":
             lines += _readout_lines(trial_metrics(trajectories[""], cfg.readout))

@@ -28,6 +28,10 @@ logger = logging.getLogger(__name__)
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
+# the most float64 values the lateral table (field_size**2) or one
+# trajectory's states ((n_steps + 1) * field_size) may hold: 1 GiB, on any host
+_MAX_VALUES = 2**27
+
 
 def _is_number(val):
     return not isinstance(val, bool) and isinstance(
@@ -110,6 +114,18 @@ class FieldParams:
             raise ConfigError(f"field_size must be >= 2, got {self.field_size}")
         if self.n_steps < 1:
             raise ConfigError(f"n_steps must be >= 1, got {self.n_steps}")
+        if self.field_size > math.isqrt(_MAX_VALUES):
+            raise ConfigError(f"field_size must be at most {math.isqrt(_MAX_VALUES)}, for a "
+                              f"lateral table of at most 2**27 values, got {self.field_size}")
+        if (self.n_steps + 1) * self.field_size > _MAX_VALUES:
+            raise ConfigError(f"n_steps must be at most {_MAX_VALUES // self.field_size - 1} at "
+                              f"field_size {self.field_size}, for a trajectory of at most 2**27 "
+                              f"values, got {self.n_steps}")
+        for c, sigma in (("c_exc", "sigma_exc"), ("c_inh", "sigma_inh")):
+            height, width = getattr(self, c), getattr(self, sigma)
+            if not math.isfinite(height / (float(_SQRT_2PI) * width)):
+                raise ConfigError(f"the kernel height {c} / (sqrt(2 pi) {sigma}) must be "
+                                  f"finite, got {c}={height} {sigma}={width}")
         if not (self.sigma_exc < self.sigma_inh and self.c_exc > self.c_inh > self.c_glob):
             logger.warning(
                 "kernel outside the selective regime (expected sigma_exc < sigma_inh "

@@ -1,18 +1,23 @@
-"""CSV emission and deterministic SVG rendering of run results.
+"""CSV emission, deterministic SVG rendering and a run's export.
 
 All emitters are pure functions of their inputs: floats are written with
 repr (CSV) or fixed precision (SVG), nothing timestamped or random, so
-rerunning with the same data reproduces byte-identical files.
+rerunning with the same data reproduces byte-identical files. Only
+`_write_here` opens an output file. `write_run` writes a run's files, listed
+once by `_pieces`; where a run exports a trajectory, a forked child formats
+about half of them and this process still writes every file.
 """
 
-import csv
 import os
-from itertools import groupby
+import sys
+import threading
+from itertools import chain, groupby
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
+from .experiments import _parts, _usable_cores
 
 SWEEP_COLUMNS = ("a_target", "a_mp", "n_trials", "mean_vot", "sd_vot", "sem_vot",
                  "skewness", "ch_ms", "frac_stabilized", "mean_time_to_threshold",
@@ -52,36 +57,41 @@ class _File:
             start += os.sendfile(self.fh.fileno(), fd, start, end - start)
 
 
-def _write_file(path, write, *args):
-    """Write `path`, and any directory it lacks, with the text writer
-    `write(fh, *args)`; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fh = _File(path)
-    try:
-        write(fh, *args)
-    finally:
-        if fh.fh is not None:
-            fh.fh.close()
-    return path
+def _write_here(pieces):
+    """Write `pieces` (see `_pieces`) in this process, each path, and any
+    directory it lacks, opened once as a `_File` and its pieces written as
+    they come; returns the paths in write order."""
+    written = []
+    for path, same in groupby(pieces, key=lambda piece: piece[1]):
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = _File(path)
+        try:
+            for _, _, write, *args in same:
+                write(fh, *args)
+        finally:
+            if fh.fh is not None:
+                fh.fh.close()
+        written.append(path)
+    return written
 
 
 def _write_sweep(fh, result):
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
+    # no field needs quoting: a repr float, an int, "" or a readout method
+    fh.write(",".join(SWEEP_COLUMNS) + "\n")
     for c in result.cells:
-        writer.writerow([
+        fh.write(",".join([
             _cell(c.condition.a_target), _cell(c.condition.a_mp),
             _cell(c.n_trials), _cell(c.mean_vot), _cell(c.sd_vot),
             _cell(c.sem_vot), _cell(c.skewness), _cell(c.ch_ms),
             _cell(c.frac_stabilized), _cell(c.mean_time_to_threshold),
             result.readout_method, _cell(result.master_seed),
-        ])
+        ]) + "\n")
 
 
 def emit_sweep_csv(result, path):
     """One row per condition, grid order (a_target outer asc, a_mp inner asc)."""
-    return _write_file(path, _write_sweep, result)
+    return _write_here([(0, path, _write_sweep, result)])[0]
 
 
 def _states(traj, what):
@@ -119,8 +129,9 @@ def emit_trajectory_csv(traj, path):
     """Long-format (step, x, u) dump plus a per-step summary file
     (step, max_u, n_above_threshold), which lands next to `path` with an
     `_summary` suffix."""
-    path = _write_file(path, _write_trajectory_rows, traj, 0, len(traj))
-    return path, _write_file(_summary_path(path), _write_trajectory_summary, traj)
+    path = Path(path)
+    return tuple(_write_here([(0, path, _write_trajectory_rows, traj, 0, len(traj)),
+                              (0, _summary_path(path), _write_trajectory_summary, traj)]))
 
 
 # ------------------------------------------------------------ SVG rendering
@@ -422,4 +433,108 @@ def render_plots(data, kind, path):
     kinds: sweep_line (SweepResult), field_evolution_heatmap (Trajectory with
     states), surface_2d (SweepResult grid).
     """
-    return _write_file(path, _write_plot, data, kind)
+    return _write_here([(0, path, _write_plot, data, kind)])[0]
+
+
+# ------------------------------------------------------------ a run's export
+
+
+def _fork_export(trajectories):
+    """Whether `write_run` shares the export with a forked child: where a run
+    exports a trajectory (its CSV and heatmap are most of the export's cost),
+    on Linux with two usable cores and memfds, and with no other Python thread
+    alive, since a fork copies only the calling thread."""
+    return (bool(trajectories) and sys.platform == "linux" and hasattr(os, "memfd_create")
+            and threading.active_count() == 1 and _usable_cores() >= 2)
+
+
+def _pieces(out, stem, sweep, kind, trajectories):
+    """A run's export as (cost, path, text writer, *its arguments) pieces in
+    write order: the sweep's CSV and plot, then for each trajectory its step
+    rows in up to four row ranges (the first with the header), its summary
+    and its heatmap. The costs: a trajectory's rows take about twice as long
+    as its heatmap, and the sweep's files and a summary are small."""
+    pieces = []
+    if sweep is not None:
+        pieces.append((0, out / f"{stem}.csv", _write_sweep, sweep))
+    if kind is not None:
+        pieces.append((0, out / f"{stem}.svg", _write_plot, sweep, kind))
+    for tag, traj in sorted(trajectories.items()):
+        path = out / (f"{stem}_traj_{tag}.csv" if tag else f"{stem}.csv")
+        rows = _parts(len(traj), -(-len(traj) // 4))
+        pieces += [(2 / len(rows), path, _write_trajectory_rows, traj, r.start, r.stop)
+                   for r in rows]
+        pieces += [(0, _summary_path(path), _write_trajectory_summary, traj),
+                   (1, path.with_suffix(".svg"), _write_plot, traj, "field_evolution_heatmap")]
+    return pieces
+
+
+def _split(pieces):
+    """Where the child's share of the pieces starts: the tail of the pieces
+    up to half their total cost."""
+    left = sum(piece[0] for piece in pieces) / 2
+    k = len(pieces)
+    while pieces[k - 1][0] <= left:
+        k -= 1
+        left -= pieces[k][0]
+    return k
+
+
+def _handed_back(pieces, memfd, ends):
+    """The child's share `pieces` for `_write_here`: each one the child
+    finished as a copy of its bytes in `memfd`, and from the first one it did
+    not finish on, each as it is, to be formatted here. `ends` is the pipe
+    that gives where each finished piece ends in `memfd`."""
+    start = 0
+    for piece in pieces:
+        end = ends.read(8)
+        if len(end) < 8:  # the child stopped
+            yield piece
+        else:
+            end = int.from_bytes(end, sys.byteorder)
+            yield (*piece[:2], _File.copy, memfd, start, end)
+            start = end
+
+
+def _write_forked(pieces):
+    """`_write_here` with a forked child that formats the tail of the pieces
+    (`_split`) into a memfd and sends through a pipe the offset where each
+    piece ends, 8 bytes as each is done. This process writes every file in
+    one pass over its own pieces and then the child's (`_handed_back`): a
+    piece the child finished is copied from the memfd, any other is
+    formatted here, so the files, their bytes and any error are those of one
+    process, also where the child stops early."""
+    k = _split(pieces)
+    opened = []
+    try:
+        opened.append(os.memfd_create("votfield-export", os.MFD_CLOEXEC))
+        opened += os.pipe()
+        pid = os.fork()
+    except OSError:  # no memfd, pipe or process to spare: write every file here
+        for fd in opened:
+            os.close(fd)
+        return _write_here(pieces)
+    memfd, read, write = opened
+    if pid == 0:  # never returns: os._exit skips the caller's cleanup
+        try:
+            os.close(read)
+            with os.fdopen(memfd, "w", encoding="utf-8", newline="", closefd=False) as fh:
+                for _, _, format_piece, *args in pieces[k:]:
+                    format_piece(fh, *args)
+                    os.write(write, fh.tell().to_bytes(8, sys.byteorder))
+        finally:  # an error stops the child; the calling process raises it again
+            os._exit(0)
+    os.close(write)
+    try:
+        with os.fdopen(read, "rb") as ends:
+            return _write_here(chain(pieces[:k], _handed_back(pieces[k:], memfd, ends)))
+    finally:
+        os.waitpid(pid, 0)
+        os.close(memfd)
+
+
+def write_run(out, stem, sweep, kind, trajectories):
+    """Write a run's CSV and SVG files; returns their paths in write order.
+    Where `_fork_export` allows, a forked child formats about half of them."""
+    pieces = _pieces(out, stem, sweep, kind, trajectories)
+    return _write_forked(pieces) if _fork_export(trajectories) else _write_here(pieces)

@@ -19,7 +19,7 @@ except ModuleNotFoundError:  # Python < 3.11
     import tomli as tomllib
 
 import votfield
-from votfield import (REPLICATIONS, SWEEP_COLUMNS, ConfigError, cli, config_from_dict,
+from votfield import (REPLICATIONS, SWEEP_COLUMNS, ConfigError, config_from_dict,
                       experiments, load_config, outputs, serialize_config)
 from votfield.cli import cli_main
 
@@ -161,12 +161,17 @@ def test_bad_config_exits_one_with_stderr_message(tmp_path, capsys):
     ({"field": {"noise_smooth_sigma": 1e300}}, "noise_smooth_sigma"),
     ({"sweep": {"a_mp": {"lo": 0.0, "hi": 1e300, "step": 1e-300}}}, "sweep a_mp step"),
     ({"field": {"sigma_exc": 1e-320}}, "sigma_exc"),
+    ({"field": {"field_size": 10**12}}, "field_size"),
+    ({"field": {"n_steps": 10**11}}, "n_steps"),
+    ({"field": {"c_exc": 1e300, "sigma_exc": 1e-10}}, "c_exc / (sqrt(2 pi) sigma_exc)"),
+    ({"field": {"c_inh": 1e300, "sigma_inh": 1e-10}}, "c_inh / (sqrt(2 pi) sigma_inh)"),
 ], ids=["w 1e-320", "noise_smooth_sigma 1e-300", "noise_smooth_sigma 1e300",
-        "sweep step 1e-300 to hi 1e300", "sigma_exc 1e-320"])
+        "sweep step 1e-300 to hi 1e300", "sigma_exc 1e-320", "field_size 1e12", "n_steps 1e11",
+        "excitatory height 1e300 over 1e-10", "inhibitory height 1e300 over 1e-10"])
 def test_values_the_run_cannot_compute_are_config_errors(raw, key, tmp_path, capsys):
     # each was accepted and then ended in a ZeroDivisionError, a ValueError
-    # from np.arange, an OverflowError, or a NaN kernel reported as a
-    # divergence at step 1
+    # from np.arange, an OverflowError, numpy's _ArrayMemoryError, or an
+    # infinite or NaN kernel reported as a divergence at step 1
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))
     for command in ("validate-config", "simulate", "sweep1d"):
@@ -219,7 +224,7 @@ def test_report_names_every_written_file_and_one_line_per_cell(command, tmp_path
         return open(path, *args, **kwargs)
 
     monkeypatch.setattr(outputs, "open", recording_open, raising=False)
-    monkeypatch.setattr(cli, "_fork_export", lambda trajectories: False)
+    monkeypatch.setattr(outputs, "_fork_export", lambda trajectories: False)
     shutil.rmtree(out_dir)
     assert run_cli(argv, capsys)[0] == 0
     assert wrote == opened
@@ -233,6 +238,25 @@ def test_report_names_every_written_file_and_one_line_per_cell(command, tmp_path
     for line, row in zip(stats, rows):
         a_target, a_mp = row.split(",")[:2]
         assert line.startswith(f"a_target={float(a_target):g} a_mp={float(a_mp):g} ")
+
+
+# one tile (serial by rule), one block of one or two steps, and smoothed noise
+# over four blocks: the sweep's two threads give the serial path's bits
+@pytest.mark.parametrize("command, field", [
+    (["batch", "--trials", "1"], {}),
+    (["sweep1d", "--trials", "1"], {}),
+    (["batch", "--trials", "3"], {"n_steps": 1}),
+    (["sweep1d", "--trials", "3"], {"n_steps": 2}),
+    (["sweep1d", "--trials", "3"], {"n_steps": 35, "noise_smooth_sigma": 2.0}),
+], ids=["batch-1-trial", "sweep1d-1-trial", "batch-1-step", "sweep1d-2-steps",
+        "sweep1d-smoothed-4-blocks"])
+def test_degenerate_runs_give_the_serial_bits(command, field, tmp_path, capsys, monkeypatch):
+    (tmp_path / "config.json").write_text(json.dumps({"field": field}))
+    argv = command + ["--seed", "5", "--config", str(tmp_path / "config.json"),
+                      "--out", str(tmp_path / "o")]
+    threads = run_and_collect(argv, tmp_path / "o", capsys)
+    monkeypatch.setattr(experiments, "_blas_threads", lambda: None)  # as with no setter
+    assert threads[0] == 0 and run_and_collect(argv, tmp_path / "o", capsys) == threads
 
 
 # --------------------------------------------------------- the forked export
@@ -286,7 +310,7 @@ def test_forked_export_writes_what_one_process_writes(command, seed, tmp_path, c
     assert_no_child_left()
     assert forked[0] == 0 and len(forked[2]) >= 3
 
-    monkeypatch.setattr(cli, "_fork_export", lambda trajectories: False)
+    monkeypatch.setattr(outputs, "_fork_export", lambda trajectories: False)
     assert run_and_collect(argv, out_dir, capsys) == forked
     assert len(forks) == FORKS
 
@@ -319,7 +343,7 @@ def test_forked_export_reports_an_error_as_one_process_does(blocked, tmp_path, c
     assert len(forks) == FORKS
     assert_no_child_left()
     assert len(forked[0]) == 1 and "Is a directory" in forked[0][0]
-    monkeypatch.setattr(cli, "_fork_export", lambda trajectories: False)
+    monkeypatch.setattr(outputs, "_fork_export", lambda trajectories: False)
     assert failed_run() == forked
     assert len(forks) == FORKS
 
@@ -341,13 +365,13 @@ def test_forked_export_raises_a_formatting_error_in_write_order(tmp_path, capfd,
         return err, files
 
     monkeypatch.setattr(outputs, "_plot_heatmap", no_heatmap)
-    monkeypatch.setattr(cli, "_fork_export", lambda trajectories: True)
+    monkeypatch.setattr(outputs, "_fork_export", lambda trajectories: True)
     forked = failed_run()
     assert len(forks) == 1
     assert_no_child_left()
     assert forked[0] == "error: cannot plot the heatmap\n"
     assert sorted(forked[1]) == ["trajectory.csv", "trajectory_summary.csv"]
-    monkeypatch.setattr(cli, "_fork_export", lambda trajectories: False)
+    monkeypatch.setattr(outputs, "_fork_export", lambda trajectories: False)
     assert failed_run() == forked
 
 
@@ -357,7 +381,7 @@ def forked_and_in_process(argv, out_dir, capsys, monkeypatch):
     (index of the child's first piece, its file name, the first step row it
     writes, or None where it is no step rows)."""
     splits = []
-    split = cli._split
+    split = outputs._split
 
     def recorded(pieces):
         k = split(pieces)
@@ -365,11 +389,11 @@ def forked_and_in_process(argv, out_dir, capsys, monkeypatch):
         splits.append((k, path.name, args[1] if write is outputs._write_trajectory_rows else None))
         return k
 
-    monkeypatch.setattr(cli, "_split", recorded)
-    monkeypatch.setattr(cli, "_fork_export", lambda trajectories: True)
+    monkeypatch.setattr(outputs, "_split", recorded)
+    monkeypatch.setattr(outputs, "_fork_export", lambda trajectories: True)
     forked = run_and_collect(argv, out_dir, capsys)
     assert_no_child_left()
-    monkeypatch.setattr(cli, "_fork_export", lambda trajectories: False)
+    monkeypatch.setattr(outputs, "_fork_export", lambda trajectories: False)
     return forked, run_and_collect(argv, out_dir, capsys), splits
 
 
@@ -412,10 +436,10 @@ def test_forked_export_cut_at_a_step_row_writes_what_one_process_writes(
 @pytest.mark.parametrize("sweep", [False, True])
 def test_no_cut_leaves_an_empty_side(trajectories, rows, sweep):
     traj = np.zeros((rows, 2))  # the pieces read only len() of a trajectory
-    pieces = cli._pieces(Path("o"), "s", object() if sweep else None,
+    pieces = outputs._pieces(Path("o"), "s", object() if sweep else None,
                          "sweep_line" if sweep else None,
                          {str(t): traj for t in range(trajectories)})
-    k = cli._split(pieces)
+    k = outputs._split(pieces)
     assert 0 < k < len(pieces)  # this process and the child each get a piece
     assert sum(piece[0] for piece in pieces[k:]) <= sum(piece[0] for piece in pieces) / 2 + 1e-9
 
@@ -427,7 +451,7 @@ def test_no_cut_leaves_an_empty_side(trajectories, rows, sweep):
 def test_export_child_that_stops_early_leaves_the_files_of_one_process(stop, tmp_path, capsys,
                                                                        monkeypatch, forks):
     parent = os.getpid()
-    write_rows, write_plot = cli._write_trajectory_rows, cli._write_plot
+    write_rows, write_plot = outputs._write_trajectory_rows, outputs._write_plot
 
     def rows(fh, traj, start, end):
         if os.getpid() != parent and stop != "heatmap":
@@ -449,10 +473,10 @@ def test_export_child_that_stops_early_leaves_the_files_of_one_process(stop, tmp
         copies.append(fh.path.name)
         return copy(fh, *args)
 
-    monkeypatch.setattr(cli, "_write_trajectory_rows", rows)
-    monkeypatch.setattr(cli, "_write_plot", plot)
+    monkeypatch.setattr(outputs, "_write_trajectory_rows", rows)
+    monkeypatch.setattr(outputs, "_write_plot", plot)
     monkeypatch.setattr(outputs._File, "copy", counted)
-    monkeypatch.setattr(cli, "_fork_export", lambda trajectories: True)
+    monkeypatch.setattr(outputs, "_fork_export", lambda trajectories: True)
     argv = ["simulate", "--out", str(tmp_path / "o")]
     before = sorted(os.listdir("/proc/self/fd"))
     stopped = run_and_collect(argv, tmp_path / "o", capsys)
@@ -462,7 +486,7 @@ def test_export_child_that_stops_early_leaves_the_files_of_one_process(stop, tmp
     assert copies == (["trajectory.csv", "trajectory_summary.csv"] if stop == "heatmap" else [])
     assert_no_child_left()
     assert stopped[0] == 0 and len(stopped[2]) == 3
-    monkeypatch.setattr(cli, "_fork_export", lambda trajectories: False)
+    monkeypatch.setattr(outputs, "_fork_export", lambda trajectories: False)
     assert run_and_collect(argv, tmp_path / "o", capsys) == stopped
 
 
@@ -477,7 +501,7 @@ def test_export_writes_every_file_here_when_its_set_up_fails(call, error, tmp_pa
         raise error
 
     argv = ["replicate", "fig6", "--trials", "2", "--out", str(tmp_path / "o")]
-    monkeypatch.setattr(cli, "_fork_export", lambda trajectories: True)
+    monkeypatch.setattr(outputs, "_fork_export", lambda trajectories: True)
     monkeypatch.setattr(os, call, fails)
     before = sorted(os.listdir("/proc/self/fd"))
     failed = run_and_collect(argv, tmp_path / "o", capsys)
@@ -485,7 +509,7 @@ def test_export_writes_every_file_here_when_its_set_up_fails(call, error, tmp_pa
     assert forks == []
     assert_no_child_left()
     assert failed[0] == 0
-    monkeypatch.setattr(cli, "_fork_export", lambda trajectories: False)
+    monkeypatch.setattr(outputs, "_fork_export", lambda trajectories: False)
     assert run_and_collect(argv, tmp_path / "o", capsys) == failed
 
 
@@ -495,7 +519,7 @@ def test_forked_export_leaves_no_file_descriptor_open(blocked, tmp_path, capfd, 
     out_dir = tmp_path / "o"
     if blocked:  # a directory where the file should go
         (out_dir / blocked).mkdir(parents=True)
-    monkeypatch.setattr(cli, "_fork_export", lambda trajectories: True)
+    monkeypatch.setattr(outputs, "_fork_export", lambda trajectories: True)
     before = sorted(os.listdir("/proc/self/fd"))
     code, _, _ = run_cli(["simulate", "--out", str(out_dir)], capfd)
     assert sorted(os.listdir("/proc/self/fd")) == before

@@ -227,8 +227,10 @@ def test_fuzzed_configs_resolve_or_name_a_key_and_simulate_cleanly(edits, tmp_pa
     # a small config with up to three values made wrong in type or size,
     # keys deleted or unknown keys added: it resolves to a config that
     # round-trips, or raises a ConfigError naming a key that an edit set,
-    # deleted or added; and simulate exits 0, or 1 with an error line, never
-    # with a traceback
+    # deleted or added; and simulate, batch and sweep1d (the tile loop on
+    # one or two threads) exit 0, or 1 with an error line, never with a
+    # traceback
+    commands = ["simulate", "batch", "sweep1d"]
     raw = copy.deepcopy(_SMALL)
     for path, value in edits:
         _edit(raw, path, value)
@@ -245,10 +247,13 @@ def test_fuzzed_configs_resolve_or_name_a_key_and_simulate_cleanly(edits, tmp_pa
         assert again == cfg and serialize_config(again) == text
         if cfg.field.field_size > 64 or cfg.field.n_steps > 8:
             return
+        if cfg.n_trials > 4 or len(cfg.sweep_a_mp.values()) > 8:
+            commands = ["simulate"]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
     capfd.readouterr()
-    code = cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
-    err = capfd.readouterr().err
-    assert "Traceback" not in err
-    assert code == 0 or (code == 1 and err.startswith("error: ")), err
+    for command in commands:
+        code = cli_main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capfd.readouterr().err
+        assert "Traceback" not in err
+        assert code == 0 or (code == 1 and err.startswith("error: ")), (command, err)
