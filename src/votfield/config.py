@@ -10,7 +10,7 @@ A config file is a JSON object with (all optional) keys:
                  default input ("target", "mp") inherit its unspecified
                  fields; defaults not mentioned are kept
     sweep        {"a_mp": {lo, hi, step}, "a_target": {lo, hi, step}}
-    n_trials     trials per condition (default 500)
+    n_trials     trials per condition, 1 to a million (default 500)
     master_seed  nonnegative integer (default 1)
     readout      "argmax" | "centroid_above_threshold" | "first_to_threshold"
     out_dir      default output directory (string or null)
@@ -94,8 +94,8 @@ class RunConfig:
             if label in labels[:k]:
                 raise ConfigError(f"duplicate input label {label!r}")
         object.__setattr__(self, "n_trials", _as_int("n_trials", self.n_trials))
-        if self.n_trials < 1:
-            raise ConfigError(f"n_trials must be >= 1, got {self.n_trials}")
+        if not 1 <= self.n_trials <= 10**6:  # a fixed cap, as on the sweep ranges
+            raise ConfigError(f"n_trials must be from 1 to a million, got {self.n_trials}")
         object.__setattr__(self, "master_seed", _as_int("master_seed", self.master_seed))
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")

@@ -2,18 +2,22 @@
 
 A batch runs n independent trials of one (a_target, a_mp) condition; each
 trial's noise stream is seeded by a hash of (master_seed, trial_index) only,
-so results are bit-reproducible regardless of thread count, tiling, or
+so results are bit-reproducible regardless of process count, tiling, or
 execution order, and trial k of a batch is exactly reproducible on its own.
 Sweeps share trial streams across cells (common random numbers): each
 (cells, trials) tile draws its trials' noise block of steps by block and
 runs every cell of the tile on it through the engine. A batch is the
-one-cell case of a sweep.
+one-cell case of a sweep. Where the host allows, a forked child runs every
+second tile and writes its rows into a map shared with the calling process
+(`_run_cells`).
 """
 
 import ctypes
 import functools
 import math
 import os
+import sys
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -153,14 +157,19 @@ def _usable_cores():
             else os.cpu_count() or 1)
 
 
+def _can_fork():
+    """Whether a run may hand part of its work to one forked child: on Linux
+    with two usable cores, and with no other Python thread alive, since a
+    fork copies only the calling thread."""
+    return (sys.platform == "linux" and threading.active_count() == 1
+            and _usable_cores() >= 2)
+
+
 @functools.cache
 def _blas_threads():
     """The (get, set) thread-count functions of the OpenBLAS that numpy's
-    wheel bundles, or None where a second Python thread cannot help: on one
-    core, or under another BLAS (the symbols are private to the wheel's
-    scipy-openblas build)."""
-    if _usable_cores() < 2:
-        return None
+    wheel bundles, or None under another BLAS (the symbols are private to the
+    wheel's scipy-openblas build)."""
     try:
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
         get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
@@ -183,10 +192,23 @@ def _tiles(n_cells, n_trials):
     """The (cells, trials) slices of a run's engine tiles, of at most _CHUNK
     rows, in trial order: the cells in groups of at most _CHUNK, and as many
     trials of each group as fit beside the largest, in at least two tiles
-    for the two threads."""
+    for the two processes."""
     groups = _parts(n_cells, _CHUNK)
     per = min(_CHUNK // max(g.stop - g.start for g in groups), -(-n_trials // 2))
     return [(cells, trials) for trials in _parts(n_trials, per) for cells in groups]
+
+
+def _shared(*layout):
+    """Zeroed arrays of the given (shape, dtype) pairs over one anonymous
+    shared map, each at an 8-byte boundary: what a forked child writes to
+    them, this process reads. The map goes when the last array does."""
+    import mmap  # on first use: nothing needs it at start-up
+
+    sizes = [-(-math.prod(shape) * np.dtype(dtype).itemsize // 8) * 8 for shape, dtype in layout]
+    buf = mmap.mmap(-1, sum(sizes))
+    offsets = np.cumsum([0] + sizes).tolist()
+    return [np.frombuffer(buf, dtype, math.prod(shape), offset).reshape(shape)
+            for (shape, dtype), offset in zip(layout, offsets)]
 
 
 def _run_cells(cfg, conditions, keep_final=False):
@@ -196,37 +218,43 @@ def _run_cells(cfg, conditions, keep_final=False):
     of steps (`_parts(n_steps, _BLOCK)`) at a time, just before the engine
     runs that block on every cell of the tile (common random numbers), so a
     tile holds at most _CHUNK x _BLOCK rows of noise. A group of cells
-    redraws its trial's noise. Where `_blas_threads` allows, this thread and
-    a worker thread each take the next tile until none is left, with the
-    BLAS at one thread; a row's bits depend on neither its tile nor its
-    thread. Returns the trial seeds and per-cell (C, n) arrays of
-    `readout_rows`, plus (C, n, field_size) final fields when `keep_final`
-    is set.
+    redraws its trial's noise. Returns the trial seeds and per-cell (C, n)
+    arrays of `readout_rows`, plus (C, n, field_size) final fields when
+    `keep_final` is set.
 
-    Every diverging row goes on one list as (cell, trial, step, seed); its
-    `min()` is raised as an IntegrationDivergedError, the first diverging
-    cell in condition order at its first diverging trial, whichever thread
-    finished first. Tiles taken later skip the cells above the lowest one
-    on the list.
+    The tiles write their rows, and each row's divergence step, into arrays
+    over one shared map (`_shared`), with a done flag per tile. Where
+    `_can_fork` and `_blas_threads` allow, with the BLAS held at one thread,
+    a forked child runs every second tile and flags each one it finishes,
+    while this process runs the others. This process then reaps the child
+    and runs every tile not flagged, so a child that dies or raises leaves
+    the serial path's results and errors. A row's bits depend on neither its
+    tile nor its process.
+
+    The lowest diverging cell's first diverging trial is raised as an
+    IntegrationDivergedError. Each process skips the cells above the lowest
+    one that diverged in it.
     """
     params, n, master = cfg.field, cfg.n_trials, cfg.master_seed
     drives = np.array([compose_inputs(_condition_inputs(cfg, c), params.field_size)
                        for c in conditions])
     table = backends.toeplitz(build_kernel(params).weights)  # once per run
-    if params.noise_smooth_sigma > 0:  # draw_noise's cached table, before a worker can race to it
+    if params.noise_smooth_sigma > 0:  # draw_noise's cached table, built once for both processes
         _smoother(params.noise_smooth_sigma, params.field_size)
     u0 = initial_state(params).u
     blocks = _parts(params.n_steps, _BLOCK)
     n_cells = len(conditions)
     seeds = [trial_seed(master, i) for i in range(n)]
-    vot = np.empty((n_cells, n))
-    ttt = np.empty((n_cells, n), np.int64)
-    stab = np.empty((n_cells, n), bool)
-    final = np.empty((n_cells, n, params.field_size)) if keep_final else None
+    tiles = _tiles(n_cells, n)
+    vot, ttt, diverged, final, stab, done = _shared(
+        ((n_cells, n), np.float64), ((n_cells, n), np.int64), ((n_cells, n), np.int64),
+        ((n_cells, n, params.field_size if keep_final else 0), np.float64),
+        ((n_cells, n), bool), ((len(tiles),), bool))
+    diverged[:] = -1
 
     def run_tile(cells, trials):
-        """Run the tile block by block and read out its rows; returns
-        (cell, trial, step, seed) of each diverging row."""
+        """Run the tile block by block and write its rows; returns the cell
+        after its lowest diverging one, or n_cells."""
         rngs = [np.random.default_rng(seed) for seed in seeds[trials]]
         # Room for _CHUNK trials whatever the tile's count; only its own rows
         # are touched. Freeing the first such buffer lifts glibc's mmap and
@@ -243,51 +271,62 @@ def _run_cells(cfg, conditions, keep_final=False):
                 params, u0, drives[cells, None], table,
                 np.broadcast_to(block, (cells.stop - cells.start,) + block.shape),
                 carry=run, t0=steps.start)
-        bad = [(cells.start + c, trials.start + j, int(run.diverged[c, j]),
-                seeds[trials.start + j]) for c, j in zip(*np.nonzero(run.diverged >= 0))]
-        if not bad:  # a run with a diverging row raises; it needs no readout
-            vot[cells, trials], ttt[cells, trials], stab[cells, trials] = readout_rows(
-                run.final, run.first_step, run.first_pos, cfg.readout)
-            if keep_final:
-                final[cells, trials] = run.final
-        return bad
+        diverged[cells, trials] = run.diverged
+        bad = np.flatnonzero((run.diverged >= 0).any(axis=1))
+        if bad.size:  # a run with a diverging row raises; it needs no readout
+            return cells.start + int(bad[0]) + 1
+        vot[cells, trials], ttt[cells, trials], stab[cells, trials] = readout_rows(
+            run.final, run.first_step, run.first_pos, cfg.readout)
+        if keep_final:
+            final[cells, trials] = run.final
+        return n_cells
 
-    tiles = _tiles(n_cells, n)
-    todo = iter(tiles)  # each thread takes the next tile from here
-    diverging = []  # (cell, trial, step, seed) of every diverging row
+    stop = n_cells  # cells from here on cannot be reported: one below diverged here
 
-    def run_tiles():
-        try:
-            for cells, trials in todo:
-                # cells above the lowest diverging one cannot be reported; a
-                # bound the other thread has just lowered only runs more cells
-                stop = min(cells.stop, min(diverging, default=(n_cells,))[0] + 1)
-                if cells.start < stop:
-                    diverging.extend(run_tile(slice(cells.start, stop), trials))
-        finally:
-            for _ in todo:  # a thread that raises stops the other at its next tile
-                pass
+    def run_tiles(indices):
+        nonlocal stop
+        for i in indices:
+            cells, trials = tiles[i]
+            if cells.start < stop:
+                stop = min(stop, run_tile(slice(cells.start, min(cells.stop, stop)), trials))
+            done[i] = True
 
-    blas = _blas_threads() if len(tiles) > 1 else None
-    if blas is None:
-        run_tiles()
-    else:  # a one-worker pool beside this thread, with the BLAS held at one thread
-        from concurrent.futures import ThreadPoolExecutor
-
+    blas = _blas_threads() if len(tiles) > 1 and _can_fork() else None
+    if blas is not None:
         get, put = blas
         old = get()
         put(1)
-        try:
-            with ThreadPoolExecutor(1) as pool:
-                second = pool.submit(run_tiles)
-                run_tiles()
-                second.result()
-        finally:
+    child = None
+    try:
+        if blas is not None:
+            try:
+                child = os.fork()
+            except OSError:  # no process to spare: every tile runs here
+                pass
+        if child == 0:  # never returns: os._exit skips the caller's cleanup
+            try:
+                run_tiles(range(1, len(tiles), 2))
+            finally:  # an error stops the child; this process raises it again
+                os._exit(0)
+        if child:  # the other tiles here; reaping orders the child's writes before the reads
+            run_tiles(range(0, len(tiles), 2))
+            os.waitpid(child, 0)
+            child = None
+        run_tiles([i for i in range(len(tiles)) if not done[i]])
+    finally:
+        if child:  # this process raised: stop the child
+            import signal
+
+            os.kill(child, signal.SIGKILL)
+            os.waitpid(child, 0)
+        if blas is not None:
             put(old)
-    if diverging:  # the lowest diverging cell's first diverging trial
-        _, _, step, seed = min(diverging)
-        raise IntegrationDivergedError(step=step, seed=seed)
-    return seeds, vot, ttt, stab, final
+    bad = np.argwhere(diverged >= 0)
+    if bad.size:  # the lowest diverging cell's first diverging trial
+        cell, trial = bad[0]
+        raise IntegrationDivergedError(step=int(diverged[cell, trial]), seed=seeds[trial])
+    # copies, so that the map goes with this call
+    return seeds, vot.copy(), ttt.copy(), stab.copy(), final.copy() if keep_final else None
 
 
 def run_trials(config=None, condition=None, n_trials=None, master_seed=None, method=None):

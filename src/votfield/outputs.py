@@ -10,14 +10,13 @@ about half of them and this process still writes every file.
 
 import os
 import sys
-import threading
 from itertools import chain, groupby
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
-from .experiments import _parts, _usable_cores
+from .experiments import _can_fork, _parts
 
 SWEEP_COLUMNS = ("a_target", "a_mp", "n_trials", "mean_vot", "sd_vot", "sem_vot",
                  "skewness", "ch_ms", "frac_stabilized", "mean_time_to_threshold",
@@ -442,10 +441,8 @@ def render_plots(data, kind, path):
 def _fork_export(trajectories):
     """Whether `write_run` shares the export with a forked child: where a run
     exports a trajectory (its CSV and heatmap are most of the export's cost),
-    on Linux with two usable cores and memfds, and with no other Python thread
-    alive, since a fork copies only the calling thread."""
-    return (bool(trajectories) and sys.platform == "linux" and hasattr(os, "memfd_create")
-            and threading.active_count() == 1 and _usable_cores() >= 2)
+    has memfds, and may fork (`experiments._can_fork`)."""
+    return bool(trajectories) and hasattr(os, "memfd_create") and _can_fork()
 
 
 def _pieces(out, stem, sweep, kind, trajectories):

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior."""
 
+import contextlib
 import errno
 import json
 import os
@@ -181,6 +182,21 @@ def test_values_the_run_cannot_compute_are_config_errors(raw, key, tmp_path, cap
         assert err.startswith("error: ") and key in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n_trials", [0, 10**6 + 1, 2**70])
+def test_a_trial_count_outside_one_to_a_million_is_a_config_error(n_trials, tmp_path, capsys):
+    # 2**70 was accepted, and a run then built its list of trial seeds until
+    # memory ran out
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_trials": n_trials}))
+    out_dir = ["--out", str(tmp_path / "o")]
+    for argv in (["validate-config", "--config", str(cfg)], ["batch", "--config", str(cfg)],
+                 ["batch", "--trials", str(n_trials)]):
+        code, out, err = run_cli(argv + out_dir, capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: n_trials must be from 1 to a million, got {n_trials}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_a_diverging_simulate_names_its_trial_seed(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"field": {"dt": 50, "tau": 1, "n_steps": 300}}))
@@ -206,9 +222,12 @@ def test_report_names_every_written_file_and_one_line_per_cell(command, tmp_path
     argv = command + ["--trials", "1", "--out", str(out_dir)]
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
-    # only a run that exports a trajectory forks
+    # a run that exports a trajectory forks for the export; at one trial,
+    # only a sweep of more than _CHUNK cells has two tiles and forks for them
     exports = command[0] == "simulate" or command[0] == "replicate" and command[1] != "fig12"
-    assert len(forks) == (FORKS if exports else 0)
+    assert forks.count("_write_forked") == (FORKS if exports else 0)
+    assert forks.count("_run_cells") == (SWEEP_FORKS if command[-1] in ("sweep2d", "fig12")
+                                         else 0)
     lines = out.splitlines()
     assert lines[-1].startswith("wrote ")
     assert not any(line.startswith("wrote ") for line in lines[:-1])
@@ -241,7 +260,7 @@ def test_report_names_every_written_file_and_one_line_per_cell(command, tmp_path
 
 
 # one tile (serial by rule), one block of one or two steps, and smoothed noise
-# over four blocks: the sweep's two threads give the serial path's bits
+# over four blocks: the sweep's two processes give the serial path's bits
 @pytest.mark.parametrize("command, field", [
     (["batch", "--trials", "1"], {}),
     (["sweep1d", "--trials", "1"], {}),
@@ -254,25 +273,28 @@ def test_degenerate_runs_give_the_serial_bits(command, field, tmp_path, capsys, 
     (tmp_path / "config.json").write_text(json.dumps({"field": field}))
     argv = command + ["--seed", "5", "--config", str(tmp_path / "config.json"),
                       "--out", str(tmp_path / "o")]
-    threads = run_and_collect(argv, tmp_path / "o", capsys)
+    forked = run_and_collect(argv, tmp_path / "o", capsys)
     monkeypatch.setattr(experiments, "_blas_threads", lambda: None)  # as with no setter
-    assert threads[0] == 0 and run_and_collect(argv, tmp_path / "o", capsys) == threads
+    assert forked[0] == 0 and run_and_collect(argv, tmp_path / "o", capsys) == forked
 
 
 # --------------------------------------------------------- the forked export
 
-# a run that exports a trajectory forks one child for half of its files here
-FORKS = int(sys.platform == "linux" and experiments._usable_cores() >= 2)
+# a run that exports a trajectory forks one child for half of its files here,
+# and a sweep of two or more tiles one child for half of its tiles
+FORKS = int(outputs._fork_export({"": None}))
+SWEEP_FORKS = int(experiments._can_fork() and experiments._blas_threads() is not None)
 
 
 @pytest.fixture
 def forks(monkeypatch):
-    """One entry per os.fork call; each call still forks."""
+    """The name of the function that made each os.fork call: `_write_forked`
+    for the export, `_run_cells` for the sweep; each call still forks."""
     calls = []
     fork = os.fork
 
     def counted():
-        calls.append(None)
+        calls.append(sys._getframe(1).f_code.co_name)
         return fork()
 
     monkeypatch.setattr(os, "fork", counted)
@@ -304,7 +326,8 @@ def test_forked_export_writes_what_one_process_writes(command, seed, tmp_path, c
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         forked = run_and_collect(argv, out_dir, capsys)
-    assert len(forks) == FORKS
+    sweeps = SWEEP_FORKS if command[0] == "replicate" else 0  # two tiles of one trial
+    assert forks == ["_run_cells"] * sweeps + ["_write_forked"] * FORKS
     # Python 3.12 warns when it forks a process with more than one OS thread
     assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
     assert_no_child_left()
@@ -312,7 +335,7 @@ def test_forked_export_writes_what_one_process_writes(command, seed, tmp_path, c
 
     monkeypatch.setattr(outputs, "_fork_export", lambda trajectories: False)
     assert run_and_collect(argv, out_dir, capsys) == forked
-    assert len(forks) == FORKS
+    assert forks.count("_write_forked") == FORKS
 
 
 # simulate writes the header and the first three quarters of the step rows of
@@ -506,7 +529,7 @@ def test_export_writes_every_file_here_when_its_set_up_fails(call, error, tmp_pa
     before = sorted(os.listdir("/proc/self/fd"))
     failed = run_and_collect(argv, tmp_path / "o", capsys)
     assert sorted(os.listdir("/proc/self/fd")) == before  # what was opened is closed
-    assert forks == []
+    assert "_write_forked" not in forks
     assert_no_child_left()
     assert failed[0] == 0
     monkeypatch.setattr(outputs, "_fork_export", lambda trajectories: False)
@@ -527,18 +550,35 @@ def test_forked_export_leaves_no_file_descriptor_open(blocked, tmp_path, capfd, 
     assert_no_child_left()
 
 
-def test_a_second_python_thread_keeps_the_export_in_process(tmp_path, capsys, forks):
+@contextlib.contextmanager
+def a_second_thread():
+    """A second live Python thread for the length of the block."""
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        code, _, _ = run_cli(["simulate", "--out", str(tmp_path), "--quiet"], capsys)
+        yield
     finally:
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+def test_a_second_python_thread_keeps_the_export_in_process(tmp_path, capsys, forks):
+    with a_second_thread():
+        code, _, _ = run_cli(["simulate", "--out", str(tmp_path), "--quiet"], capsys)
     assert code == 0 and forks == []
     assert len(list(tmp_path.iterdir())) == 3
+
+
+def test_a_second_python_thread_keeps_the_sweep_in_process(tmp_path, capsys, forks,
+                                                           monkeypatch):
+    argv = ["batch", "--trials", "4", "--out", str(tmp_path / "o")]
+    with a_second_thread():
+        beside_a_thread = run_and_collect(argv, tmp_path / "o", capsys)
+    assert beside_a_thread[0] == 0 and forks == []
+    monkeypatch.setattr(experiments, "_blas_threads", lambda: None)  # as with no setter
+    assert run_and_collect(argv, tmp_path / "o", capsys) == beside_a_thread
 
 
 def test_usage_errors_exit_two(capsys):

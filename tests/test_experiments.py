@@ -1,9 +1,10 @@
 """Batches, sweeps, the seeding scheme, and named replication campaigns."""
 
 import dataclasses
+import errno
+import gc
 import math
-import sys
-import threading
+import os
 import time
 import tracemalloc
 from functools import partial
@@ -279,10 +280,44 @@ def test_replication_trajectory_divergence_raises_like_a_single_run():
     assert single.value.seed == trial_seed(1, 0)
 
 
+class _Tally:
+    """A log that this process and a forked child both append to, one line
+    of words per `note`, each line in one O_APPEND write so that lines of
+    the two processes never mix."""
+
+    def __init__(self, path):
+        self.path = path
+        path.touch()
+
+    def note(self, *words):
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        try:
+            os.write(fd, (" ".join(map(str, words)) + "\n").encode())
+        finally:
+            os.close(fd)
+
+    def lines(self):
+        return [tuple(line.split()) for line in self.path.read_text().splitlines()]
+
+
+@pytest.fixture
+def tally(tmp_path):
+    return _Tally(tmp_path / "tally")
+
+
+def _noted(tally, fn, *words):
+    """`fn`, noting `words` and the calling process's pid in `tally` at each call."""
+    def call(*args, **kwargs):
+        tally.note(*words, os.getpid())
+        return fn(*args, **kwargs)
+    return call
+
+
 def test_a_run_holds_two_tiles_of_noise_blocks():
-    # 256 trials are two tiles of 128, one per thread; each holds one block of
-    # its trials' noise and the engine's four (128, n) buffers at a time, not
-    # the trials' whole noise (24.6 MB for 128 trials)
+    # 256 trials are two tiles of 128, one in each process (both here where
+    # the run does not fork); each holds one block of its trials' noise and
+    # the engine's four (128, n) buffers at a time, not the trials' whole
+    # noise (24.6 MB for 128 trials)
     params = default_config().field
     row_bytes = experiments._CHUNK * params.field_size * 8
     two_tiles = 2 * (experiments._BLOCK + 4) * row_bytes
@@ -295,52 +330,39 @@ def test_a_run_holds_two_tiles_of_noise_blocks():
     assert peak < 1.25 * two_tiles, f"peak {peak / two_tiles:.2f} times two tiles"
 
 
-def test_a_sweep_builds_the_lateral_table_once(monkeypatch):
+def test_a_sweep_builds_the_lateral_table_once(monkeypatch, tally):
     # 10 trials over 3 cells in tiles of at most 4 rows, all on one table:
-    # 10 tiles of one trial of each cell, on one thread or two, each run one
-    # block of steps per engine call
-    calls = {"toeplitz": [], "evolve_batch": []}  # list.append is atomic
-
-    def counted(name):
-        fn = getattr(backends, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name].append(1)
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(backends, name, counted(name))
+    # 10 tiles of one trial of each cell, in one process or two, each run one
+    # block of steps per engine call; a child's calls reach the tally file
+    for name in ("toeplitz", "evolve_batch"):
+        monkeypatch.setattr(backends, name, _noted(tally, getattr(backends, name), name))
     monkeypatch.setattr(experiments, "_CHUNK", 4)
     cfg = dataclasses.replace(default_config(), n_trials=10)
     experiments._sweep(cfg, (6.0,), (-3.0, 0.0, 3.0))
     blocks = len(experiments._parts(cfg.field.n_steps, experiments._BLOCK))
-    assert {k: len(v) for k, v in calls.items()} == {"toeplitz": 1, "evolve_batch": 10 * blocks}
+    names = [name for name, _ in tally.lines()]
+    assert {k: names.count(k) for k in ("toeplitz", "evolve_batch")} == {
+        "toeplitz": 1, "evolve_batch": 10 * blocks}
 
 
-def test_a_smoothed_run_builds_the_noise_table_once(monkeypatch):
+def test_a_smoothed_run_builds_the_noise_table_once(monkeypatch, tally):
     # 10 smoothed trials in tiles of 4 build two tables, the lateral one and
-    # the smoothing one, with the bits of a smoothing table built per draw
+    # the smoothing one, with the bits of a smoothing table built per draw; a
+    # child's builds reach the tally file
     cfg = dataclasses.replace(default_config(), n_trials=10)
     cfg = dataclasses.replace(cfg, field=dataclasses.replace(cfg.field, noise_smooth_sigma=2.0))
-    builds = []
-    toeplitz = backends.toeplitz
-
-    def counted(weights):
-        builds.append(1)
-        return toeplitz(weights)
-
-    monkeypatch.setattr(backends, "toeplitz", counted)
+    monkeypatch.setattr(backends, "toeplitz", _noted(tally, backends.toeplitz))
     monkeypatch.setattr(experiments, "_CHUNK", 4)
     field._smoother.cache_clear()
     once = run_batch(cfg)
-    assert len(builds) == 2
+    assert len(tally.lines()) == 2
     trials = run_trials(cfg)
     # the per-draw path: a smoothing table for every block of every trial
     monkeypatch.setattr(field, "_smoother", field._smoother.__wrapped__)
-    builds.clear()
+    tally.path.write_text("")
     per_trial = run_batch(cfg)
-    assert len(builds) == 1 + 10 * len(experiments._parts(cfg.field.n_steps, experiments._BLOCK))
+    assert len(tally.lines()) == 1 + 10 * len(experiments._parts(cfg.field.n_steps,
+                                                                 experiments._BLOCK))
     assert repr(once) == repr(per_trial)
     for a, b in zip(trials, run_trials(cfg)):
         assert a.final_u.tobytes() == b.final_u.tobytes()
@@ -390,158 +412,109 @@ def test_sweep_divergence_matches_cell_by_cell_order(monkeypatch):
     assert (err.value.step, err.value.seed) == (1, trial_seed(1, 1))
 
 
-def _worker_takes_a_tile(engine):
-    """`engine`, but on the two-thread path the main thread's calls wait (up
-    to 10 s) for the worker's first, so that the worker takes a tile however
-    the threads are scheduled."""
-    called = threading.Event()
+def _shared_maps():
+    """How many anonymous shared maps this process has (`experiments._shared`'s)."""
+    with open("/proc/self/maps") as fh:
+        return sum(line.rstrip().endswith("/dev/zero (deleted)") for line in fh)
 
-    def call(*args, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
-            called.set()
-        elif experiments._blas_threads() is not None:
-            called.wait(10)
-        return engine(*args, **kwargs)
-    return call
+
+@pytest.fixture
+def two_processes(monkeypatch):
+    """The sweep's forked path, whatever the host, with a stand-in BLAS
+    setter where numpy's OpenBLAS has none; yields the (get, set) pair and
+    checks that the test left no child, file descriptor or shared map."""
+    count = [3]
+    blas = experiments._blas_threads() or (lambda: count[0], lambda k: count.__setitem__(0, k))
+    monkeypatch.setattr(experiments, "_blas_threads", lambda: blas)
+    monkeypatch.setattr(experiments, "_can_fork", lambda: True)
+    gc.collect()  # a caught error's traceback holds its run's frame in a cycle
+    before = sorted(os.listdir("/proc/self/fd")), _shared_maps()
+    yield blas
+    gc.collect()
+    assert (sorted(os.listdir("/proc/self/fd")), _shared_maps()) == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _serial(monkeypatch):
+    monkeypatch.setattr(experiments, "_blas_threads", lambda: None)  # as with no setter
+
+
+def _same_trials(a, b):
+    assert [(r.seed, r.vot_target, r.time_to_threshold, r.stabilized) for r in a] == \
+        [(r.seed, r.vot_target, r.time_to_threshold, r.stabilized) for r in b]
+    for ra, rb in zip(a, b):
+        assert ra.final_u.tobytes() == rb.final_u.tobytes()
 
 
 @pytest.mark.parametrize("chunk", [3, 7, 128])
-def test_two_threads_give_the_serial_bits(monkeypatch, chunk):
+def test_two_processes_give_the_serial_bits(monkeypatch, tally, two_processes, chunk):
     # 15 trials of 5 cells are tiles of one trial of 2 or 3 cells at _CHUNK 3
     # (each trial's noise drawn by both groups), 15 tiles of one trial at 7
-    # and two of 8 and 7 trials at 128; a short switch interval interleaves
-    # the threads
+    # and two of 8 and 7 trials at 128; the child runs every second tile
     monkeypatch.setattr(experiments, "_CHUNK", chunk)
     cfg = dataclasses.replace(default_config(), n_trials=15, master_seed=4)
     conditions = [Condition(6.0, a) for a in (-6.0, -3.0, 0.0, 2.5, 4.0)]
-    on_main = set()
-    engine = _worker_takes_a_tile(backends.evolve_batch)
-
-    def noted(*args, **kwargs):
-        on_main.add(threading.current_thread() is threading.main_thread())
-        return engine(*args, **kwargs)
-
-    monkeypatch.setattr(backends, "evolve_batch", noted)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        two = experiments._run_cells(cfg, conditions)
-        two_trials = run_trials(cfg, Condition(6.0, -3.0))
-    finally:
-        sys.setswitchinterval(interval)
-    assert on_main == ({True} if experiments._blas_threads() is None else {True, False})
-    monkeypatch.setattr(experiments, "_blas_threads", lambda: None)  # as with no setter
+    monkeypatch.setattr(backends, "evolve_batch", _noted(tally, backends.evolve_batch))
+    two = experiments._run_cells(cfg, conditions)
+    pids = {pid for pid, in tally.lines()}
+    assert len(pids) == 2 and str(os.getpid()) in pids  # a child ran tiles too
+    two_trials = run_trials(cfg, Condition(6.0, -3.0))
+    _serial(monkeypatch)
     one = experiments._run_cells(cfg, conditions)
     assert two[0] == one[0]  # seeds
     for a, b in zip(two[1:4], one[1:4]):  # vot, ttt, stab
         assert a.tobytes() == b.tobytes()
-    for a, b in zip(two_trials, run_trials(cfg, Condition(6.0, -3.0))):
-        assert a.final_u.tobytes() == b.final_u.tobytes()
-        assert (a.seed, a.time_to_threshold, a.stabilized) == (b.seed, b.time_to_threshold,
-                                                               b.stabilized)
+    _same_trials(two_trials, run_trials(cfg, Condition(6.0, -3.0)))
 
 
-def test_a_run_restores_the_blas_thread_count(monkeypatch):
-    # With the real setter where numpy's OpenBLAS has one, else a stand-in,
-    # set to 2 so that a run left at one thread shows: the engine runs at one
-    # BLAS thread and the 2 comes back after a run that returns, diverges or
-    # raises in the worker thread
-    count = [3]
-    get, put = experiments._blas_threads() or (lambda: count[0],
-                                                lambda k: count.__setitem__(0, k))
-    monkeypatch.setattr(experiments, "_blas_threads", lambda: (get, put))
-    seen = []
-    engine = backends.evolve_batch
-
-    def noted(*args, **kwargs):
-        seen.append(get())
-        return engine(*args, **kwargs)
-
-    @_worker_takes_a_tile
-    def failing(*args, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
-            raise RuntimeError("engine failed")
-        return engine(*args, **kwargs)
-
-    outside = get()
-    put(2)
-    try:
-        monkeypatch.setattr(backends, "evolve_batch", noted)
-        run_batch(n_trials=6)
-        assert seen and set(seen) == {1}
-        assert get() == 2
-        cfg = default_config()
-        cfg = dataclasses.replace(cfg, field=dataclasses.replace(cfg.field, tau=0.01))
-        with pytest.raises(IntegrationDivergedError):
-            run_trials(cfg, Condition(1e308, 0.0), n_trials=4)
-        assert get() == 2
-        monkeypatch.setattr(backends, "evolve_batch", failing)
-        with pytest.raises(RuntimeError, match="engine failed"):
-            run_batch(n_trials=6)
-        assert get() == 2
-    finally:
-        put(outside)
-
-
-def test_a_thread_that_raises_stops_the_other(monkeypatch):
-    # 40 trials in 10 tiles: the worker raises in its first engine call, and
-    # this thread stops after the tile it is running instead of running the
-    # other eight (with a stand-in BLAS setter where the host has none)
-    count = [1]
-    blas = experiments._blas_threads() or (lambda: count[0], lambda k: count.__setitem__(0, k))
-    monkeypatch.setattr(experiments, "_blas_threads", lambda: blas)
+@pytest.mark.parametrize("finished", [0, 1, 2], ids=["no tile", "one tile", "all its tiles"])
+def test_a_child_that_stops_leaves_the_serial_results(finished, monkeypatch, tally,
+                                                      two_processes):
+    # 15 trials in tiles of 4: the child's share is the second and fourth
+    # tile. It leaves through os._exit(3) as it starts the tile after
+    # `finished` ones, and this process runs every tile it did not finish.
     monkeypatch.setattr(experiments, "_CHUNK", 4)
+    cfg = dataclasses.replace(default_config(), n_trials=15)
+    parent = os.getpid()
+    started = [0]  # tiles this process has started
     engine = backends.evolve_batch
-    main_calls = []
 
-    @_worker_takes_a_tile
-    def failing(*args, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
-            raise RuntimeError("engine failed")
-        main_calls.append(1)
-        return engine(*args, **kwargs)
+    def stopping(params, u0, drive, table, noise3, **kwargs):
+        if kwargs["t0"] == 0:  # a tile's first block
+            if os.getpid() != parent and started[0] == finished:
+                os._exit(3)
+            started[0] += 1
+            tally.note(os.getpid())
+        return engine(params, u0, drive, table, noise3, **kwargs)
 
-    monkeypatch.setattr(backends, "evolve_batch", failing)
-    with pytest.raises(RuntimeError, match="engine failed"):
-        run_batch(n_trials=40)
-    blocks = len(experiments._parts(default_config().field.n_steps, experiments._BLOCK))
-    assert len(main_calls) <= 2 * blocks
-
-
-def test_two_threads_build_the_smoothing_table_once(monkeypatch):
-    # A slow build would let both threads' first draws miss draw_noise's
-    # table cache; the table is built before the worker starts, so only the
-    # lateral table and one smoothing table are built
-    cfg = dataclasses.replace(default_config(), n_trials=6)
-    cfg = dataclasses.replace(cfg, field=dataclasses.replace(cfg.field, noise_smooth_sigma=1.5))
-    builds = []
-    toeplitz = backends.toeplitz
-
-    def slow(weights):
-        builds.append(1)
-        time.sleep(0.05)
-        return toeplitz(weights)
-
-    monkeypatch.setattr(backends, "toeplitz", slow)
-    field._smoother.cache_clear()
-    run_batch(cfg)
-    assert len(builds) == 2
+    monkeypatch.setattr(backends, "evolve_batch", stopping)
+    stopped = run_trials(cfg)
+    tiles = [pid for pid, in tally.lines()]
+    assert tiles.count(str(parent)) == 4 - finished and len(tiles) == 4
+    _serial(monkeypatch)
+    _same_trials(stopped, run_trials(cfg))
 
 
-def test_a_divergence_in_the_second_tile_reports_its_own_seed(monkeypatch):
-    # 8 trials of 2 cells run as tiles of trials 0-3 and 4-7, one on each
-    # thread. A NaN in a trial's noise at step t diverges every cell at step
+def test_a_divergence_in_the_second_tile_reports_its_own_seed(monkeypatch, two_processes):
+    # 8 trials of 2 cells run as tiles of trials 0-3, here, and 4-7, in the
+    # child. A NaN in a trial's noise at step t diverges every cell at step
     # t + 1; a 1e308 kick at neuron 20 and step 0 only where a_mp is ~1e308
-    # too.
+    # too. Each report is the serial path's.
     kicks = {}  # seed -> (step, neuron, value)
     monkeypatch.setattr(experiments, "draw_noise", _kicked(kicks))
     monkeypatch.setattr(experiments, "_CHUNK", 8)
     cfg = dataclasses.replace(default_config(), n_trials=8)
 
     def first_divergence():
-        with pytest.raises(IntegrationDivergedError) as err:
-            experiments._sweep(cfg, (6.0,), (0.0, 1e308))
-        return err.value.step, err.value.seed
+        reports = []
+        for blas in (two_processes, None):  # forked, then serial
+            monkeypatch.setattr(experiments, "_blas_threads", lambda blas=blas: blas)
+            with pytest.raises(IntegrationDivergedError) as err:
+                experiments._sweep(cfg, (6.0,), (0.0, 1e308))
+            reports.append((err.value.step, err.value.seed))
+        assert reports[0] == reports[1]
+        return reports[0]
 
     kicks[trial_seed(1, 6)] = (30, 100, math.nan)
     assert first_divergence() == (31, trial_seed(1, 6))
@@ -555,46 +528,144 @@ def test_a_divergence_in_the_second_tile_reports_its_own_seed(monkeypatch):
     assert first_divergence() == (61, trial_seed(1, 2))
 
 
-def test_the_reported_divergence_does_not_depend_on_which_thread_finishes_first(monkeypatch):
-    # 8 trials of one cell run as tiles of trials 0-3 and 4-7, one on each
-    # thread (with a stand-in BLAS setter where the host has none). A NaN
-    # kick diverges trial 2 at step 61 and trial 5 at step 11. The tile of
-    # trial 0 waits at its first engine call until the other tile has run
+def test_the_reported_divergence_does_not_depend_on_which_process_finishes_first(
+        monkeypatch, tally, two_processes):
+    # 8 trials of one cell run as tiles of trials 0-3, here, and 4-7, in the
+    # child. A NaN kick diverges trial 2 at step 61 and then trial 5 at step
+    # 11 too. This process starts its tile only once the child's tile has run
     # all its steps, so trial 5's divergence is found first; trial 2's is
-    # reported, as it is when the tiles finish in order.
-    count = [1]
-    blas = experiments._blas_threads() or (lambda: count[0], lambda k: count.__setitem__(0, k))
-    monkeypatch.setattr(experiments, "_blas_threads", lambda: blas)
+    # reported, as on the serial path.
+    kicks = {trial_seed(1, 2): (60, 100, math.nan)}
+    monkeypatch.setattr(experiments, "draw_noise", _kicked(kicks))
     monkeypatch.setattr(experiments, "_CHUNK", 8)
-    kicked = _kicked({trial_seed(1, 2): (60, 100, math.nan), trial_seed(1, 5): (10, 100, math.nan)})
-    first_tile = {}  # thread -> whether its tile is the one of trial 0
-
-    def draw(params, rng, out=None):
-        first_tile.setdefault(threading.current_thread(),
-                              rng.bit_generator.seed_seq.entropy == trial_seed(1, 0))
-        return kicked(params, rng, out=out)
-
-    later_done = threading.Event()
-    finished = []  # first_tile of each tile, in the order the tiles finish
+    cfg = dataclasses.replace(default_config(), n_trials=8)
+    parent = os.getpid()
     engine = backends.evolve_batch
 
-    def later_first(params, u0, drive, table, noise3, **kwargs):
-        first = first_tile[threading.current_thread()]
-        if first:
-            later_done.wait(10)
+    def child_first(params, u0, drive, table, noise3, **kwargs):
+        if os.getpid() == parent and kwargs["t0"] == 0:
+            deadline = time.monotonic() + 10
+            while ("child", "done") not in tally.lines() and time.monotonic() < deadline:
+                time.sleep(0.001)
         run = engine(params, u0, drive, table, noise3, **kwargs)
-        if kwargs["t0"] + noise3.shape[2] == params.n_steps:
-            finished.append(first)
-            later_done.set()
+        if os.getpid() != parent and kwargs["t0"] + noise3.shape[2] == params.n_steps:
+            tally.note("child", "done")
         return run
 
+    def first_divergence():
+        tally.path.write_text("")
+        with pytest.raises(IntegrationDivergedError) as err:
+            experiments._sweep(cfg, (6.0,), (0.0,))
+        assert tally.lines() == [("child", "done")]
+        return err.value.step, err.value.seed
+
+    monkeypatch.setattr(backends, "evolve_batch", child_first)
+    assert first_divergence() == (61, trial_seed(1, 2))  # in this process's tile
+    kicks[trial_seed(1, 5)] = (10, 100, math.nan)
+    assert first_divergence() == (61, trial_seed(1, 2))
+
+
+@pytest.mark.parametrize("where", ["parent", "child"])
+def test_an_exception_in_either_process_is_raised_as_on_the_serial_path(
+        where, monkeypatch, two_processes):
+    # 8 trials of one cell in tiles of trials 0-3, here, and 4-7, in the
+    # child; the draw of trial 1 or 5 raises. A child that raises stops, and
+    # this process raises the error again when it runs the child's tile; a
+    # raise here kills the child, which would otherwise sleep for 30 s at its
+    # first draw.
+    monkeypatch.setattr(experiments, "_CHUNK", 8)
+    parent = os.getpid()
+    failing = trial_seed(1, 1 if where == "parent" else 5)
+    slept = []
+
+    def draw(params, rng, out=None):
+        if rng.bit_generator.seed_seq.entropy == failing:
+            raise RuntimeError(f"draw of seed {failing} failed")
+        if where == "parent" and os.getpid() != parent and not slept:
+            slept.append(1)
+            time.sleep(30)
+        return draw_noise(params, rng, out=out)
+
     monkeypatch.setattr(experiments, "draw_noise", draw)
-    monkeypatch.setattr(backends, "evolve_batch", later_first)
-    cfg = dataclasses.replace(default_config(), n_trials=8)
-    with pytest.raises(IntegrationDivergedError) as err:
-        experiments._sweep(cfg, (6.0,), (0.0,))
-    assert finished == [False, True] and len(first_tile) == 2
-    assert (err.value.step, err.value.seed) == (61, trial_seed(1, 2))
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError) as forked:
+        run_batch(n_trials=8)
+    assert time.monotonic() - t0 < 10
+    _serial(monkeypatch)
+    with pytest.raises(RuntimeError) as serial:
+        run_batch(n_trials=8)
+    assert str(forked.value) == str(serial.value) == f"draw of seed {failing} failed"
+
+
+def test_a_run_restores_the_blas_thread_count(monkeypatch, tally, two_processes):
+    # With the real setter where numpy's OpenBLAS has one, else a stand-in,
+    # set to 2 so that a run left at one thread shows: both processes' engine
+    # calls run at one BLAS thread, and the 2 comes back after a run that
+    # returns, diverges, or raises in either process
+    get, put = two_processes
+    engine = backends.evolve_batch
+
+    def noted(*args, **kwargs):
+        tally.note(get(), os.getpid())
+        return engine(*args, **kwargs)
+
+    def failing_at(trial):
+        def draw(params, rng, out=None):
+            if rng.bit_generator.seed_seq.entropy == trial_seed(1, trial):
+                raise RuntimeError("draw failed")
+            return draw_noise(params, rng, out=out)
+        return draw
+
+    outside = get()
+    put(2)
+    try:
+        monkeypatch.setattr(backends, "evolve_batch", noted)
+        run_batch(n_trials=6)
+        assert {count for count, _ in tally.lines()} == {"1"}
+        assert len({pid for _, pid in tally.lines()}) == 2
+        assert get() == 2
+        cfg = default_config()
+        cfg = dataclasses.replace(cfg, field=dataclasses.replace(cfg.field, tau=0.01))
+        with pytest.raises(IntegrationDivergedError):
+            run_trials(cfg, Condition(1e308, 0.0), n_trials=4)
+        assert get() == 2
+        for trial in (1, 4):  # in this process's tile of trials 0-2, in the child's
+            monkeypatch.setattr(experiments, "draw_noise", failing_at(trial))
+            with pytest.raises(RuntimeError, match="draw failed"):
+                run_batch(n_trials=6)
+            assert get() == 2
+    finally:
+        put(outside)
+
+
+def test_a_failed_fork_runs_every_tile_here(monkeypatch, tally, two_processes):
+    # a fork that raises OSError leaves the serial path: every tile here, and
+    # the BLAS count restored
+    get = two_processes[0]
+
+    def fails():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fails)
+    monkeypatch.setattr(backends, "evolve_batch", _noted(tally, backends.evolve_batch))
+    outside = get()
+    cfg = dataclasses.replace(default_config(), n_trials=6)
+    here = run_trials(cfg)
+    assert get() == outside
+    assert {pid for pid, in tally.lines()} == {str(os.getpid())}
+    _serial(monkeypatch)
+    _same_trials(here, run_trials(cfg))
+
+
+def test_two_processes_build_the_smoothing_table_once(monkeypatch, tally, two_processes):
+    # the smoothing table is built before the fork, so only the lateral table
+    # and one smoothing table are built, not one more in the child
+    cfg = dataclasses.replace(default_config(), n_trials=6)
+    cfg = dataclasses.replace(cfg, field=dataclasses.replace(cfg.field, noise_smooth_sigma=1.5))
+    monkeypatch.setattr(backends, "toeplitz", _noted(tally, backends.toeplitz))
+    field._smoother.cache_clear()
+    run_batch(cfg)
+    assert tally.lines() == [(str(os.getpid()),)] * 2
 
 
 def test_condition_requires_target_and_mp_labels():
