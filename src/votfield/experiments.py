@@ -7,11 +7,12 @@ execution order, and trial k of a batch is exactly reproducible on its own.
 Sweeps share trial streams across cells (common random numbers): each
 (cells, trials) tile draws its trials' noise block of steps by block and
 runs every cell of the tile on it through the engine. A batch is the
-one-cell case of a sweep. Where the host allows, a forked child runs every
-second tile and writes its rows into a map shared with the calling process
-(`_run_cells`).
+one-cell case of a sweep. Where the host allows, a forked child (`_forked`,
+through which the export forks too) runs every second tile and writes its
+rows into a map shared with the calling process (`_run_cells`).
 """
 
+import contextlib
 import ctypes
 import functools
 import math
@@ -151,18 +152,12 @@ def _condition_inputs(cfg, condition):
                  for inp in cfg.inputs)
 
 
-def _usable_cores():
-    """Cores this process may run on."""
-    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-
-
 def _can_fork():
     """Whether a run may hand part of its work to one forked child: on Linux
-    with two usable cores, and with no other Python thread alive, since a
-    fork copies only the calling thread."""
+    with two cores this process may run on, and with no other Python thread
+    alive, since a fork copies only the calling thread."""
     return (sys.platform == "linux" and threading.active_count() == 1
-            and _usable_cores() >= 2)
+            and len(os.sched_getaffinity(0)) >= 2)
 
 
 @functools.cache
@@ -211,6 +206,46 @@ def _shared(*layout):
             for (shape, dtype), offset in zip(layout, offsets)]
 
 
+@contextlib.contextmanager
+def _forked(work):
+    """Fork a child that runs `work(report)`: `report` sends each result the
+    child finishes, an integer, as 8 bytes through a pipe, and the child
+    always exits with status 0, skipping the caller's cleanup. The block
+    gets an iterator over the reports up to where the child stopped, or None
+    where no pipe or process could be made. Leaving the block kills the
+    child if the block raised, reaps it and closes the pipe. The child
+    stalls while 8192 reports (64 KiB) lie unread."""
+    fds = ()
+    try:
+        fds = read, write = os.pipe()
+        pid = os.fork()
+    except OSError:  # no pipe or process to spare
+        pid = None
+    if pid is None:
+        for fd in fds:
+            os.close(fd)
+        yield None
+        return
+    if pid == 0:  # never returns
+        try:
+            os.close(read)
+            work(lambda value: os.write(write, value.to_bytes(8, sys.byteorder)))
+        finally:  # an error stops the child; the calling process meets it again
+            os._exit(0)
+    os.close(write)
+    try:
+        with os.fdopen(read, "rb") as pipe:  # a read short of 8 bytes is the end
+            yield (int.from_bytes(value, sys.byteorder)
+                   for value in iter(functools.partial(pipe.read, 8), b"") if len(value) == 8)
+    except BaseException:  # the block raised: stop the child
+        import signal
+
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
+
+
 def _run_cells(cfg, conditions, keep_final=False):
     """Run trials 0..n_trials-1 of every condition, tile by tile (`_tiles`).
 
@@ -223,13 +258,12 @@ def _run_cells(cfg, conditions, keep_final=False):
     `keep_final` is set.
 
     The tiles write their rows, and each row's divergence step, into arrays
-    over one shared map (`_shared`), with a done flag per tile. Where
-    `_can_fork` and `_blas_threads` allow, with the BLAS held at one thread,
-    a forked child runs every second tile and flags each one it finishes,
-    while this process runs the others. This process then reaps the child
-    and runs every tile not flagged, so a child that dies or raises leaves
-    the serial path's results and errors. A row's bits depend on neither its
-    tile nor its process.
+    over one shared map (`_shared`). Where `_can_fork` and `_blas_threads`
+    allow, with the BLAS held at one thread, a forked child (`_forked`) runs
+    every second tile and reports each one it finishes; this process runs
+    the others and then every tile not reported, so a child that dies or
+    raises leaves the serial path's results and errors. A row's bits depend
+    on neither its tile nor its process.
 
     The lowest diverging cell's first diverging trial is raised as an
     IntegrationDivergedError. Each process skips the cells above the lowest
@@ -246,10 +280,10 @@ def _run_cells(cfg, conditions, keep_final=False):
     n_cells = len(conditions)
     seeds = [trial_seed(master, i) for i in range(n)]
     tiles = _tiles(n_cells, n)
-    vot, ttt, diverged, final, stab, done = _shared(
+    vot, ttt, diverged, final, stab = _shared(
         ((n_cells, n), np.float64), ((n_cells, n), np.int64), ((n_cells, n), np.int64),
         ((n_cells, n, params.field_size if keep_final else 0), np.float64),
-        ((n_cells, n), bool), ((len(tiles),), bool))
+        ((n_cells, n), bool))
     diverged[:] = -1
 
     def run_tile(cells, trials):
@@ -283,42 +317,28 @@ def _run_cells(cfg, conditions, keep_final=False):
 
     stop = n_cells  # cells from here on cannot be reported: one below diverged here
 
-    def run_tiles(indices):
+    def run_tiles(indices, report=lambda i: None):
         nonlocal stop
         for i in indices:
             cells, trials = tiles[i]
             if cells.start < stop:
                 stop = min(stop, run_tile(slice(cells.start, min(cells.stop, stop)), trials))
-            done[i] = True
+            report(i)
 
     blas = _blas_threads() if len(tiles) > 1 and _can_fork() else None
     if blas is not None:
         get, put = blas
         old = get()
         put(1)
-    child = None
+    done = set()
     try:
-        if blas is not None:
-            try:
-                child = os.fork()
-            except OSError:  # no process to spare: every tile runs here
-                pass
-        if child == 0:  # never returns: os._exit skips the caller's cleanup
-            try:
-                run_tiles(range(1, len(tiles), 2))
-            finally:  # an error stops the child; this process raises it again
-                os._exit(0)
-        if child:  # the other tiles here; reaping orders the child's writes before the reads
-            run_tiles(range(0, len(tiles), 2))
-            os.waitpid(child, 0)
-            child = None
-        run_tiles([i for i in range(len(tiles)) if not done[i]])
+        with (_forked(functools.partial(run_tiles, range(1, len(tiles), 2)))
+              if blas is not None else contextlib.nullcontext()) as reports:
+            if reports is not None:  # the other tiles here, then the child's reports
+                run_tiles(range(0, len(tiles), 2))
+                done = {*range(0, len(tiles), 2), *reports}
+        run_tiles([i for i in range(len(tiles)) if i not in done])
     finally:
-        if child:  # this process raised: stop the child
-            import signal
-
-            os.kill(child, signal.SIGKILL)
-            os.waitpid(child, 0)
         if blas is not None:
             put(old)
     bad = np.argwhere(diverged >= 0)

@@ -1,22 +1,21 @@
 """CSV emission, deterministic SVG rendering and a run's export.
 
-All emitters are pure functions of their inputs: floats are written with
-repr (CSV) or fixed precision (SVG), nothing timestamped or random, so
-rerunning with the same data reproduces byte-identical files. Only
-`_write_here` opens an output file. `write_run` writes a run's files, listed
-once by `_pieces`; where a run exports a trajectory, a forked child formats
-about half of them and this process still writes every file.
+All emitters are pure functions of their inputs: floats are written with repr
+(CSV) or fixed precision (SVG), nothing timestamped or random, so rerunning
+with the same data reproduces byte-identical files. Only `_write_here` opens
+an output file. `write_run` writes a run's files, listed once by `_pieces`;
+with a trajectory, a child forked by `experiments._forked` formats about half
+of them, reporting where each ends, and this process writes every file.
 """
 
 import os
-import sys
-from itertools import chain, groupby
+from itertools import chain, groupby, zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
-from .experiments import _can_fork, _parts
+from .experiments import _can_fork, _forked, _parts
 
 SWEEP_COLUMNS = ("a_target", "a_mp", "n_trials", "mean_vot", "sd_vot", "sem_vot",
                  "skewness", "ch_ms", "frac_stabilized", "mean_time_to_threshold",
@@ -439,9 +438,8 @@ def render_plots(data, kind, path):
 
 
 def _fork_export(trajectories):
-    """Whether `write_run` shares the export with a forked child: where a run
-    exports a trajectory (its CSV and heatmap are most of the export's cost),
-    has memfds, and may fork (`experiments._can_fork`)."""
+    """Whether `write_run` shares the export with a forked child: for a run
+    that exports a trajectory (most of the cost), has memfds and may fork."""
     return bool(trajectories) and hasattr(os, "memfd_create") and _can_fork()
 
 
@@ -478,55 +476,36 @@ def _split(pieces):
 
 
 def _handed_back(pieces, memfd, ends):
-    """The child's share `pieces` for `_write_here`: each one the child
-    finished as a copy of its bytes in `memfd`, and from the first one it did
-    not finish on, each as it is, to be formatted here. `ends` is the pipe
-    that gives where each finished piece ends in `memfd`."""
+    """The child's share `pieces` for `_write_here`: a copy from `memfd` of
+    each one `ends` says it finished, and each one after as it is."""
     start = 0
-    for piece in pieces:
-        end = ends.read(8)
-        if len(end) < 8:  # the child stopped
-            yield piece
-        else:
-            end = int.from_bytes(end, sys.byteorder)
-            yield (*piece[:2], _File.copy, memfd, start, end)
-            start = end
+    for piece, end in zip_longest(pieces, ends):  # no end: the child stopped before it
+        yield piece if end is None else (*piece[:2], _File.copy, memfd, start, end)
+        start = end
 
 
 def _write_forked(pieces):
-    """`_write_here` with a forked child that formats the tail of the pieces
-    (`_split`) into a memfd and sends through a pipe the offset where each
-    piece ends, 8 bytes as each is done. This process writes every file in
-    one pass over its own pieces and then the child's (`_handed_back`): a
-    piece the child finished is copied from the memfd, any other is
-    formatted here, so the files, their bytes and any error are those of one
-    process, also where the child stops early."""
+    """`_write_here` with a forked child (`experiments._forked`) formatting
+    the tail of the pieces (`_split`) into a memfd. This process writes every
+    file in one pass, copying each piece as the child reports where it ends
+    and formatting the rest (`_handed_back`): files, bytes and errors are
+    those of one process."""
     k = _split(pieces)
-    opened = []
     try:
-        opened.append(os.memfd_create("votfield-export", os.MFD_CLOEXEC))
-        opened += os.pipe()
-        pid = os.fork()
-    except OSError:  # no memfd, pipe or process to spare: write every file here
-        for fd in opened:
-            os.close(fd)
+        memfd = os.memfd_create("votfield-export", os.MFD_CLOEXEC)
+    except OSError:  # no memfd: write every file here
         return _write_here(pieces)
-    memfd, read, write = opened
-    if pid == 0:  # never returns: os._exit skips the caller's cleanup
-        try:
-            os.close(read)
-            with os.fdopen(memfd, "w", encoding="utf-8", newline="", closefd=False) as fh:
-                for _, _, format_piece, *args in pieces[k:]:
-                    format_piece(fh, *args)
-                    os.write(write, fh.tell().to_bytes(8, sys.byteorder))
-        finally:  # an error stops the child; the calling process raises it again
-            os._exit(0)
-    os.close(write)
+
+    def format_share(report):  # the child's work
+        with os.fdopen(memfd, "w", encoding="utf-8", newline="", closefd=False) as fh:
+            for _, _, format_piece, *args in pieces[k:]:
+                format_piece(fh, *args)
+                report(fh.tell())
+
     try:
-        with os.fdopen(read, "rb") as ends:
-            return _write_here(chain(pieces[:k], _handed_back(pieces[k:], memfd, ends)))
+        with _forked(format_share) as ends:  # with no child, every piece is formatted here
+            return _write_here(chain(pieces[:k], _handed_back(pieces[k:], memfd, ends or ())))
     finally:
-        os.waitpid(pid, 0)
         os.close(memfd)
 
 

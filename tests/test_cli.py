@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -288,13 +289,15 @@ SWEEP_FORKS = int(experiments._can_fork() and experiments._blas_threads() is not
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The name of the function that made each os.fork call: `_write_forked`
-    for the export, `_run_cells` for the sweep; each call still forks."""
+    """The name of the function that forked through `experiments._forked` at
+    each os.fork call: `_write_forked` for the export, `_run_cells` for the
+    sweep; each call still forks."""
     calls = []
     fork = os.fork
 
     def counted():
-        calls.append(sys._getframe(1).f_code.co_name)
+        # os.fork <- experiments._forked <- contextlib's __enter__ <- its caller
+        calls.append(sys._getframe(3).f_code.co_name)
         return fork()
 
     monkeypatch.setattr(os, "fork", counted)
@@ -529,7 +532,9 @@ def test_export_writes_every_file_here_when_its_set_up_fails(call, error, tmp_pa
     before = sorted(os.listdir("/proc/self/fd"))
     failed = run_and_collect(argv, tmp_path / "o", capsys)
     assert sorted(os.listdir("/proc/self/fd")) == before  # what was opened is closed
-    assert "_write_forked" not in forks
+    # the sweep forks through the same pipe and fork, so only a failed
+    # memfd_create leaves it forking
+    assert forks == (["_run_cells"] * SWEEP_FORKS if call == "memfd_create" else [])
     assert_no_child_left()
     assert failed[0] == 0
     monkeypatch.setattr(outputs, "_fork_export", lambda trajectories: False)
@@ -547,6 +552,31 @@ def test_forked_export_leaves_no_file_descriptor_open(blocked, tmp_path, capfd, 
     code, _, _ = run_cli(["simulate", "--out", str(out_dir)], capfd)
     assert sorted(os.listdir("/proc/self/fd")) == before
     assert code == (1 if blocked else 0) and len(forks) == 1
+    assert_no_child_left()
+
+
+def test_a_raise_here_kills_the_export_child(tmp_path, capfd, monkeypatch, forks):
+    # simulate's child would sleep 30 s in its first piece (the last step
+    # rows); this process fails at its first piece, trajectory.csv being a
+    # directory, and kills the child instead of waiting for it
+    parent = os.getpid()
+    write_rows = outputs._write_trajectory_rows
+
+    def rows(fh, traj, start, end):
+        if os.getpid() != parent:
+            time.sleep(30)
+        write_rows(fh, traj, start, end)
+
+    out_dir = tmp_path / "o"
+    (out_dir / "trajectory.csv").mkdir(parents=True)
+    monkeypatch.setattr(outputs, "_write_trajectory_rows", rows)
+    monkeypatch.setattr(outputs, "_fork_export", lambda trajectories: True)
+    before = sorted(os.listdir("/proc/self/fd"))
+    t0 = time.monotonic()
+    code, _, err = run_cli(["simulate", "--out", str(out_dir)], capfd)
+    assert time.monotonic() - t0 < 10
+    assert code == 1 and "Is a directory" in err and forks == ["_write_forked"]
+    assert sorted(os.listdir("/proc/self/fd")) == before
     assert_no_child_left()
 
 

@@ -638,15 +638,17 @@ def test_a_run_restores_the_blas_thread_count(monkeypatch, tally, two_processes)
         put(outside)
 
 
-def test_a_failed_fork_runs_every_tile_here(monkeypatch, tally, two_processes):
-    # a fork that raises OSError leaves the serial path: every tile here, and
-    # the BLAS count restored
+@pytest.mark.parametrize("call, code", [("pipe", errno.EMFILE), ("fork", errno.EAGAIN)],
+                         ids=["pipe", "fork"])
+def test_a_failed_fork_runs_every_tile_here(call, code, monkeypatch, tally, two_processes):
+    # a pipe or fork that raises OSError leaves the serial path: every tile
+    # here, the BLAS count restored and no fd left (`two_processes`)
     get = two_processes[0]
 
-    def fails():
-        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+    def fails():  # a new error each time: a kept one would hold its frames and their map
+        raise OSError(code, os.strerror(code))
 
-    monkeypatch.setattr(os, "fork", fails)
+    monkeypatch.setattr(os, call, fails)
     monkeypatch.setattr(backends, "evolve_batch", _noted(tally, backends.evolve_batch))
     outside = get()
     cfg = dataclasses.replace(default_config(), n_trials=6)
