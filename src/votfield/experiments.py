@@ -9,7 +9,7 @@ Sweeps share trial streams across cells (common random numbers): each
 runs every cell of the tile on it through the engine. A batch is the
 one-cell case of a sweep. Where the host allows, a forked child (`_forked`,
 through which the export forks too) runs every second tile and writes its
-rows into a map shared with the calling process (`_run_cells`).
+rows into arrays shared with the calling process (`_run_cells`).
 """
 
 import contextlib
@@ -193,17 +193,13 @@ def _tiles(n_cells, n_trials):
     return [(cells, trials) for trials in _parts(n_trials, per) for cells in groups]
 
 
-def _shared(*layout):
-    """Zeroed arrays of the given (shape, dtype) pairs over one anonymous
-    shared map, each at an 8-byte boundary: what a forked child writes to
-    them, this process reads. The map goes when the last array does."""
+def _shared(shape, dtype):
+    """A zeroed array over its own anonymous shared map, which goes with it:
+    what a forked child writes to it, this process reads."""
     import mmap  # on first use: nothing needs it at start-up
 
-    sizes = [-(-math.prod(shape) * np.dtype(dtype).itemsize // 8) * 8 for shape, dtype in layout]
-    buf = mmap.mmap(-1, sum(sizes))
-    offsets = np.cumsum([0] + sizes).tolist()
-    return [np.frombuffer(buf, dtype, math.prod(shape), offset).reshape(shape)
-            for (shape, dtype), offset in zip(layout, offsets)]
+    return np.frombuffer(mmap.mmap(-1, math.prod(shape) * np.dtype(dtype).itemsize),
+                         dtype).reshape(shape)
 
 
 @contextlib.contextmanager
@@ -257,13 +253,13 @@ def _run_cells(cfg, conditions, keep_final=False):
     arrays of `readout_rows`, plus (C, n, field_size) final fields when
     `keep_final` is set.
 
-    The tiles write their rows, and each row's divergence step, into arrays
-    over one shared map (`_shared`). Where `_can_fork` and `_blas_threads`
-    allow, with the BLAS held at one thread, a forked child (`_forked`) runs
-    every second tile and reports each one it finishes; this process runs
-    the others and then every tile not reported, so a child that dies or
-    raises leaves the serial path's results and errors. A row's bits depend
-    on neither its tile nor its process.
+    The tiles write their rows, and each row's divergence step, into shared
+    arrays (`_shared`). Where `_can_fork` and `_blas_threads` allow, with the
+    BLAS held at one thread, a forked child (`_forked`) runs every second
+    tile and reports each one it finishes; this process runs the others and,
+    with the BLAS count restored, every tile not reported, so a child that
+    dies or raises leaves the serial path's results and errors. A row's bits
+    depend on neither its tile nor its process.
 
     The lowest diverging cell's first diverging trial is raised as an
     IntegrationDivergedError. Each process skips the cells above the lowest
@@ -280,10 +276,9 @@ def _run_cells(cfg, conditions, keep_final=False):
     n_cells = len(conditions)
     seeds = [trial_seed(master, i) for i in range(n)]
     tiles = _tiles(n_cells, n)
-    vot, ttt, diverged, final, stab = _shared(
-        ((n_cells, n), np.float64), ((n_cells, n), np.int64), ((n_cells, n), np.int64),
-        ((n_cells, n, params.field_size if keep_final else 0), np.float64),
-        ((n_cells, n), bool))
+    vot, ttt, diverged, stab = (_shared((n_cells, n), dtype)
+                                for dtype in (np.float64, np.int64, np.int64, bool))
+    final = _shared((n_cells, n, params.field_size), np.float64) if keep_final else None
     diverged[:] = -1
 
     def run_tile(cells, trials):
@@ -311,7 +306,7 @@ def _run_cells(cfg, conditions, keep_final=False):
             return cells.start + int(bad[0]) + 1
         vot[cells, trials], ttt[cells, trials], stab[cells, trials] = readout_rows(
             run.final, run.first_step, run.first_pos, cfg.readout)
-        if keep_final:
+        if final is not None:
             final[cells, trials] = run.final
         return n_cells
 
@@ -337,16 +332,17 @@ def _run_cells(cfg, conditions, keep_final=False):
             if reports is not None:  # the other tiles here, then the child's reports
                 run_tiles(range(0, len(tiles), 2))
                 done = {*range(0, len(tiles), 2), *reports}
-        run_tiles([i for i in range(len(tiles)) if i not in done])
     finally:
         if blas is not None:
             put(old)
+    # every tile not run yet (all of them without a child) at the BLAS's own count
+    run_tiles([i for i in range(len(tiles)) if i not in done])
     bad = np.argwhere(diverged >= 0)
     if bad.size:  # the lowest diverging cell's first diverging trial
         cell, trial = bad[0]
         raise IntegrationDivergedError(step=int(diverged[cell, trial]), seed=seeds[trial])
-    # copies, so that the map goes with this call
-    return seeds, vot.copy(), ttt.copy(), stab.copy(), final.copy() if keep_final else None
+    # copies, so that the maps go with this call
+    return seeds, vot.copy(), ttt.copy(), stab.copy(), None if final is None else final.copy()
 
 
 def run_trials(config=None, condition=None, n_trials=None, master_seed=None, method=None):

@@ -17,7 +17,7 @@ import functools
 import logging
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -89,14 +89,12 @@ class FieldParams:
     noise_smooth_sigma: float = 0.0    # Gaussian smoothing of each noise vector; 0 = i.i.d.
 
     def __post_init__(self):
-        for key in ("field_size", "n_steps"):
-            object.__setattr__(self, key, _as_int(key, getattr(self, key)))
-        floats = ("tau", "h", "beta", "c_exc", "c_inh", "c_glob", "sigma_exc",
-                  "sigma_inh", "q", "dt", "noise_smooth_sigma")
-        for key in floats:
-            object.__setattr__(self, key, _finite(key, getattr(self, key)))
-        if self.u_init is not None:
-            object.__setattr__(self, "u_init", _finite("u_init", self.u_init))
+        # each field as its default says: an int, a float, or None left alone
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if val is not None or f.default is not None:
+                coerce = _as_int if isinstance(f.default, int) else _finite
+                object.__setattr__(self, f.name, coerce(f.name, val))
         for key in ("tau", "dt", "beta"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key} must be > 0, got {getattr(self, key)}")

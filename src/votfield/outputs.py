@@ -77,14 +77,9 @@ def _write_here(pieces):
 def _write_sweep(fh, result):
     # no field needs quoting: a repr float, an int, "" or a readout method
     fh.write(",".join(SWEEP_COLUMNS) + "\n")
-    for c in result.cells:
-        fh.write(",".join([
-            _cell(c.condition.a_target), _cell(c.condition.a_mp),
-            _cell(c.n_trials), _cell(c.mean_vot), _cell(c.sd_vot),
-            _cell(c.sem_vot), _cell(c.skewness), _cell(c.ch_ms),
-            _cell(c.frac_stabilized), _cell(c.mean_time_to_threshold),
-            result.readout_method, _cell(result.master_seed),
-        ]) + "\n")
+    for c in result.cells:  # each column from the condition, the cell or the sweep
+        row = {**vars(result), **vars(c), **vars(c.condition)}
+        fh.write(",".join(_cell(row[name]) for name in SWEEP_COLUMNS) + "\n")
 
 
 def emit_sweep_csv(result, path):
@@ -447,8 +442,9 @@ def _pieces(out, stem, sweep, kind, trajectories):
     """A run's export as (cost, path, text writer, *its arguments) pieces in
     write order: the sweep's CSV and plot, then for each trajectory its step
     rows in up to four row ranges (the first with the header), its summary
-    and its heatmap. The costs: a trajectory's rows take about twice as long
-    as its heatmap, and the sweep's files and a summary are small."""
+    and its heatmap. A trajectory's rows are priced at 2 against its heatmap's
+    1 (measured: about 3; `_split` cuts simulate, fig6, fig7 and conditions at
+    3, 11, 11 and 14 at either price); the sweep's files and a summary cost 0."""
     pieces = []
     if sweep is not None:
         pieces.append((0, out / f"{stem}.csv", _write_sweep, sweep))

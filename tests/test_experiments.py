@@ -642,21 +642,32 @@ def test_a_run_restores_the_blas_thread_count(monkeypatch, tally, two_processes)
                          ids=["pipe", "fork"])
 def test_a_failed_fork_runs_every_tile_here(call, code, monkeypatch, tally, two_processes):
     # a pipe or fork that raises OSError leaves the serial path: every tile
-    # here, the BLAS count restored and no fd left (`two_processes`)
-    get = two_processes[0]
+    # here at the BLAS count set before the run (2, so that a tile run at one
+    # thread shows on any host), the count restored and no fd left
+    # (`two_processes`)
+    get, put = two_processes
+    engine = backends.evolve_batch
 
     def fails():  # a new error each time: a kept one would hold its frames and their map
         raise OSError(code, os.strerror(code))
 
-    monkeypatch.setattr(os, call, fails)
-    monkeypatch.setattr(backends, "evolve_batch", _noted(tally, backends.evolve_batch))
+    def noted(*args, **kwargs):
+        tally.note(get(), os.getpid())
+        return engine(*args, **kwargs)
+
     outside = get()
-    cfg = dataclasses.replace(default_config(), n_trials=6)
-    here = run_trials(cfg)
-    assert get() == outside
-    assert {pid for pid, in tally.lines()} == {str(os.getpid())}
-    _serial(monkeypatch)
-    _same_trials(here, run_trials(cfg))
+    put(2)
+    try:
+        monkeypatch.setattr(os, call, fails)
+        monkeypatch.setattr(backends, "evolve_batch", noted)
+        cfg = dataclasses.replace(default_config(), n_trials=6)
+        here = run_trials(cfg)
+        assert get() == 2
+        assert set(tally.lines()) == {("2", str(os.getpid()))}
+        _serial(monkeypatch)
+        _same_trials(here, run_trials(cfg))
+    finally:
+        put(outside)
 
 
 def test_two_processes_build_the_smoothing_table_once(monkeypatch, tally, two_processes):
