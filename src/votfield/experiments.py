@@ -7,9 +7,9 @@ execution order, and trial k of a batch is exactly reproducible on its own.
 Sweeps share trial streams across cells (common random numbers): each
 (cells, trials) tile draws its trials' noise block of steps by block and
 runs every cell of the tile on it through the engine. A batch is the
-one-cell case of a sweep. Where the host allows, a forked child (`_forked`,
-through which the export forks too) runs every second tile and writes its
-rows into arrays shared with the calling process (`_run_cells`).
+one-cell case of a sweep. Where `_can_fork` allows, a forked child
+(`_forked`, through which the export forks too) runs every second tile and
+writes its rows into arrays shared with the calling process (`_run_cells`).
 """
 
 import contextlib
@@ -155,7 +155,8 @@ def _condition_inputs(cfg, condition):
 def _can_fork():
     """Whether a run may hand part of its work to one forked child: on Linux
     with two cores this process may run on, and with no other Python thread
-    alive, since a fork copies only the calling thread."""
+    alive, since a fork copies only the calling thread. The sweep and the
+    export (`outputs.write_run`) both ask this one function at each run."""
     return (sys.platform == "linux" and threading.active_count() == 1
             and len(os.sched_getaffinity(0)) >= 2)
 
@@ -320,20 +321,18 @@ def _run_cells(cfg, conditions, keep_final=False):
                 stop = min(stop, run_tile(slice(cells.start, min(cells.stop, stop)), trials))
             report(i)
 
+    done = set()
     blas = _blas_threads() if len(tiles) > 1 and _can_fork() else None
-    if blas is not None:
+    if blas is not None:  # one BLAS thread in each process while they run side by side
         get, put = blas
         old = get()
         put(1)
-    done = set()
-    try:
-        with (_forked(functools.partial(run_tiles, range(1, len(tiles), 2)))
-              if blas is not None else contextlib.nullcontext()) as reports:
-            if reports is not None:  # the other tiles here, then the child's reports
-                run_tiles(range(0, len(tiles), 2))
-                done = {*range(0, len(tiles), 2), *reports}
-    finally:
-        if blas is not None:
+        try:
+            with _forked(functools.partial(run_tiles, range(1, len(tiles), 2))) as reports:
+                if reports is not None:  # the other tiles here, then the child's reports
+                    run_tiles(range(0, len(tiles), 2))
+                    done = {*range(0, len(tiles), 2), *reports}
+        finally:
             put(old)
     # every tile not run yet (all of them without a child) at the BLAS's own count
     run_tiles([i for i in range(len(tiles)) if i not in done])

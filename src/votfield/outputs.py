@@ -4,8 +4,9 @@ All emitters are pure functions of their inputs: floats are written with repr
 (CSV) or fixed precision (SVG), nothing timestamped or random, so rerunning
 with the same data reproduces byte-identical files. Only `_write_here` opens
 an output file. `write_run` writes a run's files, listed once by `_pieces`;
-with a trajectory, a child forked by `experiments._forked` formats about half
-of them, reporting where each ends, and this process writes every file.
+with a trajectory, where `experiments._can_fork` allows (the switch the sweep
+asks too), a child forked by `experiments._forked` formats about half of them,
+reporting where each ends, and this process writes every file.
 """
 
 import os
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .experiments import _can_fork, _forked, _parts
+from . import experiments
 
 SWEEP_COLUMNS = ("a_target", "a_mp", "n_trials", "mean_vot", "sd_vot", "sem_vot",
                  "skewness", "ch_ms", "frac_stabilized", "mean_time_to_threshold",
@@ -219,8 +220,9 @@ class _Svg:
         self.parts.append(f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
                           f'stroke-width="{_f(width)}"/>')
 
-    def text(self, x, y, s, size=11, anchor="start", fill="#000000"):
-        self.parts.append(f'<text x="{_f(x)}" y="{_f(y)}" font-family="sans-serif" '
+    def text(self, x, y, s, size=11, anchor="start", fill="#000000", transform=None):
+        t = f' transform="{transform}"' if transform else ""
+        self.parts.append(f'<text{t} x="{_f(x)}" y="{_f(y)}" font-family="sans-serif" '
                           f'font-size="{size}" text-anchor="{anchor}" fill="{fill}">{s}</text>')
 
     def dump(self, fh):
@@ -253,10 +255,8 @@ class _Axes:
         s.line(self.l, self.t + self.h, self.l + self.w, self.t + self.h)
         s.line(self.l, self.t, self.l, self.t + self.h)
         s.text(self.l + self.w / 2, s.height - 10, xlabel, anchor="middle")
-        s.text(14, self.t + self.h / 2, ylabel, anchor="middle")
-        # rotate y label around its anchor point
-        self.svg.parts[-1] = self.svg.parts[-1].replace(
-            "<text ", f'<text transform="rotate(-90 14 {_f(self.t + self.h / 2)})" ', 1)
+        y = self.t + self.h / 2  # the y label, rotated about its anchor point
+        s.text(14, y, ylabel, anchor="middle", transform=f"rotate(-90 14 {_f(y)})")
 
     def xticks(self, vals, fmt="{:g}"):
         for v in vals:
@@ -316,7 +316,7 @@ def _render_sweep_line(result):
                          ax.px(x), ax.py(c.mean_vot + c.sem_vot), stroke=color)
             svg.circle(ax.px(x), ax.py(c.mean_vot), 2.5, color)
         for x, c in zip(xs, cells):
-            if x in (0.0, -3.0, -6.0):
+            if x in experiments._HIGHLIGHTS.values():
                 if not np.isnan(c.mean_vot):
                     svg.circle(ax.px(x), ax.py(c.mean_vot), 4.5, "#bc2426")
                 svg.text(ax.px(x), ax.t + 12, f"a_mp={x:g}", size=10, anchor="middle",
@@ -432,12 +432,6 @@ def render_plots(data, kind, path):
 # ------------------------------------------------------------ a run's export
 
 
-def _fork_export(trajectories):
-    """Whether `write_run` shares the export with a forked child: for a run
-    that exports a trajectory (most of the cost), has memfds and may fork."""
-    return bool(trajectories) and hasattr(os, "memfd_create") and _can_fork()
-
-
 def _pieces(out, stem, sweep, kind, trajectories):
     """A run's export as (cost, path, text writer, *its arguments) pieces in
     write order: the sweep's CSV and plot, then for each trajectory its step
@@ -452,7 +446,7 @@ def _pieces(out, stem, sweep, kind, trajectories):
         pieces.append((0, out / f"{stem}.svg", _write_plot, sweep, kind))
     for tag, traj in sorted(trajectories.items()):
         path = out / (f"{stem}_traj_{tag}.csv" if tag else f"{stem}.csv")
-        rows = _parts(len(traj), -(-len(traj) // 4))
+        rows = experiments._parts(len(traj), -(-len(traj) // 4))
         pieces += [(2 / len(rows), path, _write_trajectory_rows, traj, r.start, r.stop)
                    for r in rows]
         pieces += [(0, _summary_path(path), _write_trajectory_summary, traj),
@@ -489,7 +483,7 @@ def _write_forked(pieces):
     k = _split(pieces)
     try:
         memfd = os.memfd_create("votfield-export", os.MFD_CLOEXEC)
-    except OSError:  # no memfd: write every file here
+    except (AttributeError, OSError):  # no os.memfd_create, or it failed: all here
         return _write_here(pieces)
 
     def format_share(report):  # the child's work
@@ -499,7 +493,7 @@ def _write_forked(pieces):
                 report(fh.tell())
 
     try:
-        with _forked(format_share) as ends:  # with no child, every piece is formatted here
+        with experiments._forked(format_share) as ends:  # no child: all formatted here
             return _write_here(chain(pieces[:k], _handed_back(pieces[k:], memfd, ends or ())))
     finally:
         os.close(memfd)
@@ -507,6 +501,7 @@ def _write_forked(pieces):
 
 def write_run(out, stem, sweep, kind, trajectories):
     """Write a run's CSV and SVG files; returns their paths in write order.
-    Where `_fork_export` allows, a forked child formats about half of them."""
-    pieces = _pieces(out, stem, sweep, kind, trajectories)
-    return _write_forked(pieces) if _fork_export(trajectories) else _write_here(pieces)
+    For a run with a trajectory (most of the cost), where
+    `experiments._can_fork()` allows, a forked child formats about half of them."""
+    write = _write_forked if trajectories and experiments._can_fork() else _write_here
+    return write(_pieces(out, stem, sweep, kind, trajectories))

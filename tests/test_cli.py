@@ -244,7 +244,7 @@ def test_report_names_every_written_file_and_one_line_per_cell(command, tmp_path
         return open(path, *args, **kwargs)
 
     monkeypatch.setattr(outputs, "open", recording_open, raising=False)
-    monkeypatch.setattr(outputs, "_fork_export", lambda trajectories: False)
+    monkeypatch.setattr(experiments, "_can_fork", lambda: False)
     shutil.rmtree(out_dir)
     assert run_cli(argv, capsys)[0] == 0
     assert wrote == opened
@@ -283,7 +283,7 @@ def test_degenerate_runs_give_the_serial_bits(command, field, tmp_path, capsys, 
 
 # a run that exports a trajectory forks one child for half of its files here,
 # and a sweep of two or more tiles one child for half of its tiles
-FORKS = int(outputs._fork_export({"": None}))
+FORKS = int(experiments._can_fork() and hasattr(os, "memfd_create"))
 SWEEP_FORKS = int(experiments._can_fork() and experiments._blas_threads() is not None)
 
 
@@ -336,9 +336,32 @@ def test_forked_export_writes_what_one_process_writes(command, seed, tmp_path, c
     assert_no_child_left()
     assert forked[0] == 0 and len(forked[2]) >= 3
 
-    monkeypatch.setattr(outputs, "_fork_export", lambda trajectories: False)
+    monkeypatch.setattr(experiments, "_can_fork", lambda: False)
     assert run_and_collect(argv, out_dir, capsys) == forked
     assert forks.count("_write_forked") == FORKS
+
+
+# experiments._can_fork, looked up at each run, is the one switch of both the
+# sweep's fork and the export's: forced False, no pipe or process is made, and
+# the files and stdout are the forked run's
+@pytest.mark.parametrize("command", [["simulate"], ["replicate", "fig6"]], ids=" ".join)
+def test_can_fork_switches_the_sweep_and_the_export_together(command, tmp_path, capsys,
+                                                             monkeypatch, forks):
+    pipes = []
+    pipe = os.pipe
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(None) or pipe())
+    argv = command + ["--trials", "2", "--seed", "3", "--out", str(tmp_path / "o")]
+    monkeypatch.setattr(experiments, "_can_fork", lambda: True)
+    forked = run_and_collect(argv, tmp_path / "o", capsys)
+    # fig6's sweep is two tiles of one trial, forked where the BLAS setter exists
+    sweeps = int(command[0] == "replicate" and experiments._blas_threads() is not None)
+    assert forks == ["_run_cells"] * sweeps + ["_write_forked"] and len(pipes) == len(forks)
+    assert_no_child_left()
+    forks.clear()
+    pipes.clear()
+    monkeypatch.setattr(experiments, "_can_fork", lambda: False)
+    assert run_and_collect(argv, tmp_path / "o", capsys) == forked
+    assert (forks, pipes) == ([], [])
 
 
 # simulate writes the header and the first three quarters of the step rows of
@@ -369,7 +392,7 @@ def test_forked_export_reports_an_error_as_one_process_does(blocked, tmp_path, c
     assert len(forks) == FORKS
     assert_no_child_left()
     assert len(forked[0]) == 1 and "Is a directory" in forked[0][0]
-    monkeypatch.setattr(outputs, "_fork_export", lambda trajectories: False)
+    monkeypatch.setattr(experiments, "_can_fork", lambda: False)
     assert failed_run() == forked
     assert len(forks) == FORKS
 
@@ -391,13 +414,13 @@ def test_forked_export_raises_a_formatting_error_in_write_order(tmp_path, capfd,
         return err, files
 
     monkeypatch.setattr(outputs, "_plot_heatmap", no_heatmap)
-    monkeypatch.setattr(outputs, "_fork_export", lambda trajectories: True)
+    monkeypatch.setattr(experiments, "_can_fork", lambda: True)
     forked = failed_run()
     assert len(forks) == 1
     assert_no_child_left()
     assert forked[0] == "error: cannot plot the heatmap\n"
     assert sorted(forked[1]) == ["trajectory.csv", "trajectory_summary.csv"]
-    monkeypatch.setattr(outputs, "_fork_export", lambda trajectories: False)
+    monkeypatch.setattr(experiments, "_can_fork", lambda: False)
     assert failed_run() == forked
 
 
@@ -416,10 +439,10 @@ def forked_and_in_process(argv, out_dir, capsys, monkeypatch):
         return k
 
     monkeypatch.setattr(outputs, "_split", recorded)
-    monkeypatch.setattr(outputs, "_fork_export", lambda trajectories: True)
+    monkeypatch.setattr(experiments, "_can_fork", lambda: True)
     forked = run_and_collect(argv, out_dir, capsys)
     assert_no_child_left()
-    monkeypatch.setattr(outputs, "_fork_export", lambda trajectories: False)
+    monkeypatch.setattr(experiments, "_can_fork", lambda: False)
     return forked, run_and_collect(argv, out_dir, capsys), splits
 
 
@@ -502,7 +525,7 @@ def test_export_child_that_stops_early_leaves_the_files_of_one_process(stop, tmp
     monkeypatch.setattr(outputs, "_write_trajectory_rows", rows)
     monkeypatch.setattr(outputs, "_write_plot", plot)
     monkeypatch.setattr(outputs._File, "copy", counted)
-    monkeypatch.setattr(outputs, "_fork_export", lambda trajectories: True)
+    monkeypatch.setattr(experiments, "_can_fork", lambda: True)
     argv = ["simulate", "--out", str(tmp_path / "o")]
     before = sorted(os.listdir("/proc/self/fd"))
     stopped = run_and_collect(argv, tmp_path / "o", capsys)
@@ -512,32 +535,35 @@ def test_export_child_that_stops_early_leaves_the_files_of_one_process(stop, tmp
     assert copies == (["trajectory.csv", "trajectory_summary.csv"] if stop == "heatmap" else [])
     assert_no_child_left()
     assert stopped[0] == 0 and len(stopped[2]) == 3
-    monkeypatch.setattr(outputs, "_fork_export", lambda trajectories: False)
+    monkeypatch.setattr(experiments, "_can_fork", lambda: False)
     assert run_and_collect(argv, tmp_path / "o", capsys) == stopped
 
 
 @pytest.mark.parametrize("call, error", [
     ("memfd_create", OSError(errno.ENOSYS, "Function not implemented")),
+    ("memfd_create", AttributeError("module 'os' has no attribute 'memfd_create'")),
     ("pipe", OSError(errno.EMFILE, "Too many open files")),
     ("fork", BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")),
-], ids=["memfd_create", "pipe", "fork"])
+], ids=["memfd_create", "no-memfd_create", "pipe", "fork"])
 def test_export_writes_every_file_here_when_its_set_up_fails(call, error, tmp_path, capsys,
                                                              monkeypatch, forks):
     def fails(*args):
         raise error
 
     argv = ["replicate", "fig6", "--trials", "2", "--out", str(tmp_path / "o")]
-    monkeypatch.setattr(outputs, "_fork_export", lambda trajectories: True)
+    monkeypatch.setattr(experiments, "_can_fork", lambda: True)
     monkeypatch.setattr(os, call, fails)
     before = sorted(os.listdir("/proc/self/fd"))
     failed = run_and_collect(argv, tmp_path / "o", capsys)
     assert sorted(os.listdir("/proc/self/fd")) == before  # what was opened is closed
-    # the sweep forks through the same pipe and fork, so only a failed
-    # memfd_create leaves it forking
-    assert forks == (["_run_cells"] * SWEEP_FORKS if call == "memfd_create" else [])
+    # the forced switch lets the sweep (two tiles of one trial) fork too,
+    # where the BLAS setter exists, through the same pipe and fork, so only a
+    # failed memfd_create leaves it forking
+    sweeps = int(experiments._blas_threads() is not None and call == "memfd_create")
+    assert forks == ["_run_cells"] * sweeps
     assert_no_child_left()
     assert failed[0] == 0
-    monkeypatch.setattr(outputs, "_fork_export", lambda trajectories: False)
+    monkeypatch.setattr(experiments, "_can_fork", lambda: False)
     assert run_and_collect(argv, tmp_path / "o", capsys) == failed
 
 
@@ -547,7 +573,7 @@ def test_forked_export_leaves_no_file_descriptor_open(blocked, tmp_path, capfd, 
     out_dir = tmp_path / "o"
     if blocked:  # a directory where the file should go
         (out_dir / blocked).mkdir(parents=True)
-    monkeypatch.setattr(outputs, "_fork_export", lambda trajectories: True)
+    monkeypatch.setattr(experiments, "_can_fork", lambda: True)
     before = sorted(os.listdir("/proc/self/fd"))
     code, _, _ = run_cli(["simulate", "--out", str(out_dir)], capfd)
     assert sorted(os.listdir("/proc/self/fd")) == before
@@ -570,7 +596,7 @@ def test_a_raise_here_kills_the_export_child(tmp_path, capfd, monkeypatch, forks
     out_dir = tmp_path / "o"
     (out_dir / "trajectory.csv").mkdir(parents=True)
     monkeypatch.setattr(outputs, "_write_trajectory_rows", rows)
-    monkeypatch.setattr(outputs, "_fork_export", lambda trajectories: True)
+    monkeypatch.setattr(experiments, "_can_fork", lambda: True)
     before = sorted(os.listdir("/proc/self/fd"))
     t0 = time.monotonic()
     code, _, err = run_cli(["simulate", "--out", str(out_dir)], capfd)

@@ -670,6 +670,20 @@ def test_a_failed_fork_runs_every_tile_here(call, code, monkeypatch, tally, two_
         put(outside)
 
 
+def test_a_run_that_does_not_fork_leaves_the_blas_count_alone(monkeypatch):
+    # two tiles of 2 trials: with `_can_fork` False both run here and the
+    # stand-in setter is never called; with it True the run holds one thread
+    # across the fork and restores the count
+    sets = []
+    monkeypatch.setattr(experiments, "_blas_threads", lambda: (lambda: 3, sets.append))
+    monkeypatch.setattr(experiments, "_can_fork", lambda: False)
+    run_batch(n_trials=4)
+    assert sets == []
+    monkeypatch.setattr(experiments, "_can_fork", lambda: True)
+    run_batch(n_trials=4)
+    assert sets == [1, 3]
+
+
 def test_two_processes_build_the_smoothing_table_once(monkeypatch, tally, two_processes):
     # the smoothing table is built before the fork, so only the lateral table
     # and one smoothing table are built, not one more in the child

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from votfield import outputs
+from votfield import experiments, outputs
 from votfield import (SWEEP_COLUMNS, Condition, ConditionStats, ConfigError,
                       FieldParams, FieldState, GaussianInput, SweepResult,
                       Trajectory, compose_inputs, config_from_dict,
@@ -367,7 +367,7 @@ def test_forked_exports_keep_the_bytes_of_the_per_value_writers(finite, tmp_path
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
-    monkeypatch.setattr(outputs, "_fork_export", lambda trajectories: True)
+    monkeypatch.setattr(experiments, "_can_fork", lambda: True)
     written = outputs.write_run(tmp_path, "t", None, None, {"": traj})
     assert len(forks) == 1
     assert [p.name for p in written] == ["t.csv", "t_summary.csv", "t.svg"]

@@ -13,9 +13,9 @@ line is the same from run to run, and the sha256 of every output file, of
 stdout and of stderr, and the exit code, are recorded per run. --write
 stores them in the JSON file; --check compares with it, prints each entry
 that differs and exits 1 if any does. --one-process runs the CLI with
-`experiments._can_fork` (and the name `outputs` imports from it) forced
-False, so that the sweep and the export stay in one process; its bytes
-must equal the forked runs'.
+`experiments._can_fork`, the one switch of the sweep's and the export's
+forks, forced False, so that both stay in one process; its bytes must equal
+the forked runs'.
 """
 
 import argparse
@@ -38,9 +38,9 @@ RUNS = [cmd + ["--seed", str(seed)] for cmd in COMMANDS for seed in range(1, 9)]
 RUNS.append(["replicate", "fig6", "--trials", "500", "--seed", "1"])
 
 CLI = """import sys
-from votfield import cli, experiments, outputs
+from votfield import cli, experiments
 if sys.argv[1] == "one-process":
-    experiments._can_fork = outputs._can_fork = lambda: False
+    experiments._can_fork = lambda: False
 sys.exit(cli.cli_main(sys.argv[2:]))
 """
 
