@@ -23,6 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 class Evolution(NamedTuple):
     """Per-row results of `evolve_batch`, with the batch's leading axes (...);
@@ -55,7 +57,7 @@ def toeplitz(weights):
 def evolve_batch(params, u0, drive, table, noise3, keep_states=False, carry=None, t0=0):
     """Euler-integrate a batch of independent trials into an `Evolution`.
 
-    `noise3` is (..., T, n) with any leading batch shape; `u0` and `drive`
+    `noise3` is (..., T, n) with at least one leading axis; `u0` and `drive`
     broadcast to (..., n); `table` is the (n, n) `toeplitz` table of the
     kernel, which a caller that runs many batches builds once. Each row
     takes T steps of
@@ -71,6 +73,8 @@ def evolve_batch(params, u0, drive, table, noise3, keep_states=False, carry=None
     this call's fields, from the one at step `t0` on.
     """
     noise3 = np.asarray(noise3, dtype=np.float64)
+    if noise3.ndim < 3:
+        raise ConfigError(f"noise3 must have a leading batch axis, got shape {noise3.shape}")
     lead, (n_steps, n) = noise3.shape[:-2], noise3.shape[-2:]
     shape = lead + (n,)
     drive = np.asarray(drive, dtype=np.float64)

@@ -8,8 +8,8 @@ Sweeps share trial streams across cells (common random numbers): each
 (cells, trials) tile draws its trials' noise block of steps by block and
 runs every cell of the tile on it through the engine. A batch is the
 one-cell case of a sweep. Where `_can_fork` allows, a forked child
-(`_forked`, through which the export forks too) runs every second tile and
-writes its rows into arrays shared with the calling process (`_run_cells`).
+(`_forked`, which the export uses too) runs every second tile and writes
+its rows and done flags into arrays shared with this process (`_run_cells`).
 """
 
 import contextlib
@@ -210,8 +210,8 @@ def _forked(work):
     always exits with status 0, skipping the caller's cleanup. The block
     gets an iterator over the reports up to where the child stopped, or None
     where no pipe or process could be made. Leaving the block kills the
-    child if the block raised, reaps it and closes the pipe. The child
-    stalls while 8192 reports (64 KiB) lie unread."""
+    child if the block raised, reaps it and closes the pipe. The child stalls
+    at 8192 unread reports; the export sends six a trajectory at most."""
     fds = ()
     try:
         fds = read, write = os.pipe()
@@ -254,13 +254,13 @@ def _run_cells(cfg, conditions, keep_final=False):
     arrays of `readout_rows`, plus (C, n, field_size) final fields when
     `keep_final` is set.
 
-    The tiles write their rows, and each row's divergence step, into shared
-    arrays (`_shared`). Where `_can_fork` and `_blas_threads` allow, with the
-    BLAS held at one thread, a forked child (`_forked`) runs every second
-    tile and reports each one it finishes; this process runs the others and,
-    with the BLAS count restored, every tile not reported, so a child that
-    dies or raises leaves the serial path's results and errors. A row's bits
-    depend on neither its tile nor its process.
+    The tiles write their rows, each row's divergence step and a done flag
+    per tile into shared arrays (`_shared`). Where `_can_fork` and
+    `_blas_threads` allow, with the BLAS held at one thread, a forked child
+    (`_forked`) runs every second tile; this process runs the others, reaps
+    the child and, with the BLAS count restored, runs every tile not flagged,
+    so a child that dies or raises leaves the serial path's results and
+    errors. A row's bits depend on neither its tile nor its process.
 
     The lowest diverging cell's first diverging trial is raised as an
     IntegrationDivergedError. Each process skips the cells above the lowest
@@ -312,30 +312,29 @@ def _run_cells(cfg, conditions, keep_final=False):
         return n_cells
 
     stop = n_cells  # cells from here on cannot be reported: one below diverged here
+    done = _shared((len(tiles),), bool)  # a tile's rows are in the maps, or it lies past `stop`
 
-    def run_tiles(indices, report=lambda i: None):
+    def run_tiles(indices):
         nonlocal stop
         for i in indices:
             cells, trials = tiles[i]
             if cells.start < stop:
                 stop = min(stop, run_tile(slice(cells.start, min(cells.stop, stop)), trials))
-            report(i)
+            done[i] = True
 
-    done = set()
     blas = _blas_threads() if len(tiles) > 1 and _can_fork() else None
     if blas is not None:  # one BLAS thread in each process while they run side by side
         get, put = blas
         old = get()
         put(1)
         try:
-            with _forked(functools.partial(run_tiles, range(1, len(tiles), 2))) as reports:
-                if reports is not None:  # the other tiles here, then the child's reports
+            with _forked(lambda report: run_tiles(range(1, len(tiles), 2))) as reports:
+                if reports is not None:  # the other tiles here; leaving the block reaps the child
                     run_tiles(range(0, len(tiles), 2))
-                    done = {*range(0, len(tiles), 2), *reports}
         finally:
             put(old)
-    # every tile not run yet (all of them without a child) at the BLAS's own count
-    run_tiles([i for i in range(len(tiles)) if i not in done])
+    # every tile not done (all of them without a child) at the BLAS's own count
+    run_tiles(np.flatnonzero(~done))
     bad = np.argwhere(diverged >= 0)
     if bad.size:  # the lowest diverging cell's first diverging trial
         cell, trial = bad[0]

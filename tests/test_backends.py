@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import votfield
-from votfield import (FieldParams, FieldState, GaussianInput, build_kernel,
+from votfield import (ConfigError, FieldParams, FieldState, GaussianInput, build_kernel,
                       compose_inputs, initial_state, kernel_value,
                       lateral_input, sigmoid_gate)
 from votfield.backends import evolve_batch, gate, toeplitz
@@ -231,3 +231,27 @@ def test_finite_rows_near_the_largest_float_are_not_diverged():
     assert list(run.diverged) == [-1, -1, -1]
     for k in range(3):  # and each row is its own one-row run
         _assert_rows_equal(_rows(_run(noise3[k:k + 1], u0[k]), [0]), _rows(run, [k]))
+
+
+def test_noise3_without_a_leading_axis_is_rejected_by_name():
+    # a (T, n) noise has no row to record a crossing or a divergence in
+    with pytest.raises(ConfigError, match="noise3"):
+        evolve_batch(PARAMS, initial_state(PARAMS).u, DRIVE, TABLE,
+                     np.zeros((PARAMS.n_steps, 200)))
+
+
+def test_the_noise_free_field_settles_on_a_solution_of_the_model():
+    # At q = 0 the field is deterministic, and where it settles it solves
+    # u = h + s + K g(beta u). One 5-row run of 4 000 steps on one zero noise
+    # matrix: each row's residual is small, and the settled peak moves later
+    # as the competitor's amplitude falls (no position is asserted).
+    p = dataclasses.replace(PARAMS, q=0.0)
+    target, mp = (votfield.default_config().input_by_label(k) for k in ("target", "mp"))
+    amps = (0.0, -1.5, -3.0, -4.5, -6.0)
+    drives = np.array([compose_inputs([dataclasses.replace(target, a=6.0),
+                                       dataclasses.replace(mp, a=a)], 200) for a in amps])
+    noise3 = np.broadcast_to(np.zeros((4000, 200)), (len(amps), 4000, 200))
+    u = evolve_batch(p, initial_state(p).u, drives, TABLE, noise3).final
+    residual = np.abs(p.h + drives + gate(p.beta * u) @ TABLE - u).max(axis=1)
+    assert np.all(residual < 1e-5), residual
+    assert np.all(np.diff(u.argmax(axis=1)) > 0), u.argmax(axis=1)

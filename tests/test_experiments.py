@@ -2,6 +2,7 @@
 
 import dataclasses
 import errno
+import fcntl
 import gc
 import math
 import os
@@ -494,6 +495,50 @@ def test_a_child_that_stops_leaves_the_serial_results(finished, monkeypatch, tal
     assert tiles.count(str(parent)) == 4 - finished and len(tiles) == 4
     _serial(monkeypatch)
     _same_trials(stopped, run_trials(cfg))
+
+
+def test_a_child_with_more_tiles_than_its_pipe_holds_reports_is_not_held_up(
+        monkeypatch, tally, two_processes):
+    # 1 200 one-trial tiles on an 8-neuron, 3-step field, the child's share
+    # 600 of them, with a pipe of one page (512 reports of 8 bytes). This
+    # process starts its first tile only once the child has noted that it
+    # finished all 600, so a child that waited for this process to read its
+    # reports would let the run pass its deadline.
+    pipe = os.pipe
+
+    def one_page():
+        read, write = pipe()
+        fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 4096)
+        return read, write
+
+    cfg = default_config()
+    cfg = dataclasses.replace(
+        cfg, n_trials=1200, field=dataclasses.replace(cfg.field, field_size=8, n_steps=3),
+        inputs=[dataclasses.replace(inp, p=p, w=2.0) for inp, p in zip(cfg.inputs, (4.0, 1.0))])
+    parent = os.getpid()
+    engine = backends.evolve_batch
+    calls = [0]  # engine calls, one per tile, in the process that makes them
+    waited = []  # whether the child was done when this process's first tile began
+
+    def child_first(*args, **kwargs):
+        if os.getpid() == parent and not waited:
+            while not tally.lines() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            waited.append(tally.lines() == [("child", "done")])
+        run = engine(*args, **kwargs)
+        calls[0] += 1
+        if os.getpid() != parent and calls[0] == 600:
+            tally.note("child", "done")
+        return run
+
+    monkeypatch.setattr(os, "pipe", one_page)
+    monkeypatch.setattr(experiments, "_CHUNK", 1)
+    monkeypatch.setattr(backends, "evolve_batch", child_first)
+    deadline = time.monotonic() + 10
+    assert len(experiments._tiles(1, cfg.n_trials)) == 1200
+    run_batch(cfg)
+    assert time.monotonic() < deadline
+    assert waited == [True] and calls == [600] and tally.lines() == [("child", "done")]
 
 
 def test_a_divergence_in_the_second_tile_reports_its_own_seed(monkeypatch, two_processes):
