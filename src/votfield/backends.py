@@ -50,8 +50,7 @@ def toeplitz(weights):
     outside the grid."""
     w = np.asarray(weights, dtype=np.float64)
     n = (w.shape[0] + 1) // 2
-    idx = np.arange(n)
-    return w[idx[None, :] - idx[:, None] + n - 1]
+    return np.lib.stride_tricks.sliding_window_view(w, n)[::-1].copy()
 
 
 def evolve_batch(params, u0, drive, table, noise3, keep_states=False, carry=None, t0=0):

@@ -205,35 +205,24 @@ def _shared(shape, dtype):
 
 @contextlib.contextmanager
 def _forked(work):
-    """Fork a child that runs `work(report)`: `report` sends each result the
-    child finishes, an integer, as 8 bytes through a pipe, and the child
-    always exits with status 0, skipping the caller's cleanup. The block
-    gets an iterator over the reports up to where the child stopped, or None
-    where no pipe or process could be made. Leaving the block kills the
-    child if the block raised, reaps it and closes the pipe. The child stalls
-    at 8192 unread reports; the export sends six a trajectory at most."""
-    fds = ()
+    """Fork a child that runs `work()` and always exits with status 0,
+    skipping the caller's cleanup. The block gets True, or False where no
+    process could be made. Leaving the block kills the child if the block
+    raised, and always reaps it."""
     try:
-        fds = read, write = os.pipe()
         pid = os.fork()
-    except OSError:  # no pipe or process to spare
+    except OSError:  # no process to spare
         pid = None
     if pid is None:
-        for fd in fds:
-            os.close(fd)
-        yield None
+        yield False
         return
     if pid == 0:  # never returns
         try:
-            os.close(read)
-            work(lambda value: os.write(write, value.to_bytes(8, sys.byteorder)))
+            work()
         finally:  # an error stops the child; the calling process meets it again
             os._exit(0)
-    os.close(write)
     try:
-        with os.fdopen(read, "rb") as pipe:  # a read short of 8 bytes is the end
-            yield (int.from_bytes(value, sys.byteorder)
-                   for value in iter(functools.partial(pipe.read, 8), b"") if len(value) == 8)
+        yield True
     except BaseException:  # the block raised: stop the child
         import signal
 
@@ -258,9 +247,10 @@ def _run_cells(cfg, conditions, keep_final=False):
     per tile into shared arrays (`_shared`). Where `_can_fork` and
     `_blas_threads` allow, with the BLAS held at one thread, a forked child
     (`_forked`) runs every second tile; this process runs the others, reaps
-    the child and, with the BLAS count restored, runs every tile not flagged,
-    so a child that dies or raises leaves the serial path's results and
-    errors. A row's bits depend on neither its tile nor its process.
+    the child and, with the BLAS count restored, runs every tile not flagged
+    (all of them where the fork failed), so a child that dies or raises
+    leaves the serial path's results and errors. A row's bits depend on
+    neither its tile nor its process.
 
     The lowest diverging cell's first diverging trial is raised as an
     IntegrationDivergedError. Each process skips the cells above the lowest
@@ -328,8 +318,8 @@ def _run_cells(cfg, conditions, keep_final=False):
         old = get()
         put(1)
         try:
-            with _forked(lambda report: run_tiles(range(1, len(tiles), 2))) as reports:
-                if reports is not None:  # the other tiles here; leaving the block reaps the child
+            with _forked(lambda: run_tiles(range(1, len(tiles), 2))) as forked:
+                if forked:  # the other tiles here; leaving the block reaps the child
                     run_tiles(range(0, len(tiles), 2))
         finally:
             put(old)

@@ -6,7 +6,8 @@ with the same data reproduces byte-identical files. Only `_write_here` opens
 an output file. `write_run` writes a run's files, listed once by `_pieces`;
 with a trajectory, where `experiments._can_fork` allows (the switch the sweep
 asks too), a child forked by `experiments._forked` formats about half of them,
-reporting where each ends, and this process writes every file.
+sending where each ends through a pipe of `_write_forked`'s own, and this
+process writes every file.
 """
 
 import os
@@ -476,27 +477,36 @@ def _handed_back(pieces, memfd, ends):
 
 def _write_forked(pieces):
     """`_write_here` with a forked child (`experiments._forked`) formatting
-    the tail of the pieces (`_split`) into a memfd. This process writes every
-    file in one pass, copying each piece as the child reports where it ends
-    and formatting the rest (`_handed_back`): files, bytes and errors are
-    those of one process."""
+    the tail of the pieces (`_split`) into a memfd and sending each one's end
+    offset through a pipe (8 bytes; it stalls at 8192 unread ends and sends
+    six a trajectory at most). This process writes every file in one pass,
+    copying each piece as its end arrives and formatting the rest
+    (`_handed_back`): files, bytes and errors are those of one process."""
     k = _split(pieces)
+    fds = []  # the memfd and the pipe's read and write ends, closed on the way out
     try:
-        memfd = os.memfd_create("votfield-export", os.MFD_CLOEXEC)
-    except (AttributeError, OSError):  # no os.memfd_create, or it failed: all here
-        return _write_here(pieces)
+        try:
+            fds.append(os.memfd_create("votfield-export", os.MFD_CLOEXEC))
+            fds += os.pipe()
+        except (AttributeError, OSError):  # no os.memfd_create, or no memfd or pipe: all here
+            return _write_here(pieces)
+        memfd, read, write = fds
 
-    def format_share(report):  # the child's work
-        with os.fdopen(memfd, "w", encoding="utf-8", newline="", closefd=False) as fh:
-            for _, _, format_piece, *args in pieces[k:]:
-                format_piece(fh, *args)
-                report(fh.tell())
+        def format_share():  # the child's work
+            os.close(read)
+            with os.fdopen(memfd, "w", encoding="utf-8", newline="", closefd=False) as fh:
+                for _, _, format_piece, *args in pieces[k:]:
+                    format_piece(fh, *args)
+                    os.write(write, fh.tell().to_bytes(8, "little"))
 
-    try:
-        with experiments._forked(format_share) as ends:  # no child: all formatted here
-            return _write_here(chain(pieces[:k], _handed_back(pieces[k:], memfd, ends or ())))
+        with experiments._forked(format_share), os.fdopen(read, "rb", closefd=False) as pipe:
+            os.close(fds.pop())  # the write end, so the ends stop with the child (no child: at once)
+            ends = (int.from_bytes(end, "little")  # a read short of 8 bytes is the end
+                    for end in iter(lambda: pipe.read(8), b"") if len(end) == 8)
+            return _write_here(chain(pieces[:k], _handed_back(pieces[k:], memfd, ends)))
     finally:
-        os.close(memfd)
+        for fd in fds:
+            os.close(fd)
 
 
 def write_run(out, stem, sweep, kind, trajectories):

@@ -43,6 +43,18 @@ def _assert_rows_equal(a, b):
             assert np.array_equal(xa, xb, equal_nan=True)
 
 
+@pytest.mark.parametrize("n", [2, 3, 7, 200, "kernel"])
+def test_toeplitz_holds_each_weight_at_its_offset_bit_for_bit(n):
+    # K[j, i] = w[i - j + n - 1], as a C-ordered table of its own
+    w = (build_kernel(PARAMS).weights if n == "kernel"
+         else np.random.default_rng(3).standard_normal(2 * n - 1))
+    n = (len(w) + 1) // 2
+    j, i = np.indices((n, n))
+    table = toeplitz(w)
+    assert table.flags.c_contiguous and table.flags.owndata
+    assert table.tobytes() == w[i - j + n - 1].tobytes()
+
+
 def test_rows_are_bitwise_equal_across_batch_sizes_and_offsets():
     noise3 = np.random.default_rng(5).standard_normal((129, PARAMS.n_steps, 200))
     noise3[40, 9, 100] = np.inf  # row 40 diverges; the others must not notice

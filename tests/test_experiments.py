@@ -2,7 +2,6 @@
 
 import dataclasses
 import errno
-import fcntl
 import gc
 import math
 import os
@@ -500,17 +499,12 @@ def test_a_child_that_stops_leaves_the_serial_results(finished, monkeypatch, tal
 def test_a_child_with_more_tiles_than_its_pipe_holds_reports_is_not_held_up(
         monkeypatch, tally, two_processes):
     # 1 200 one-trial tiles on an 8-neuron, 3-step field, the child's share
-    # 600 of them, with a pipe of one page (512 reports of 8 bytes). This
-    # process starts its first tile only once the child has noted that it
-    # finished all 600, so a child that waited for this process to read its
-    # reports would let the run pass its deadline.
+    # 600 of them, more than a one-page pipe holds reports of 8 bytes (512).
+    # This process starts its first tile only once the child has noted that
+    # it finished all 600, so a child that waited for this process to read
+    # reports would let the run pass its deadline. The sweep opens no pipe.
+    pipes = []
     pipe = os.pipe
-
-    def one_page():
-        read, write = pipe()
-        fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 4096)
-        return read, write
-
     cfg = default_config()
     cfg = dataclasses.replace(
         cfg, n_trials=1200, field=dataclasses.replace(cfg.field, field_size=8, n_steps=3),
@@ -531,7 +525,7 @@ def test_a_child_with_more_tiles_than_its_pipe_holds_reports_is_not_held_up(
             tally.note("child", "done")
         return run
 
-    monkeypatch.setattr(os, "pipe", one_page)
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(None) or pipe())
     monkeypatch.setattr(experiments, "_CHUNK", 1)
     monkeypatch.setattr(backends, "evolve_batch", child_first)
     deadline = time.monotonic() + 10
@@ -539,6 +533,7 @@ def test_a_child_with_more_tiles_than_its_pipe_holds_reports_is_not_held_up(
     run_batch(cfg)
     assert time.monotonic() < deadline
     assert waited == [True] and calls == [600] and tally.lines() == [("child", "done")]
+    assert pipes == []
 
 
 def test_a_divergence_in_the_second_tile_reports_its_own_seed(monkeypatch, two_processes):
@@ -683,18 +678,15 @@ def test_a_run_restores_the_blas_thread_count(monkeypatch, tally, two_processes)
         put(outside)
 
 
-@pytest.mark.parametrize("call, code", [("pipe", errno.EMFILE), ("fork", errno.EAGAIN)],
-                         ids=["pipe", "fork"])
-def test_a_failed_fork_runs_every_tile_here(call, code, monkeypatch, tally, two_processes):
-    # a pipe or fork that raises OSError leaves the serial path: every tile
-    # here at the BLAS count set before the run (2, so that a tile run at one
-    # thread shows on any host), the count restored and no fd left
-    # (`two_processes`)
+def test_a_failed_fork_runs_every_tile_here(monkeypatch, tally, two_processes):
+    # a fork that raises OSError leaves the serial path: every tile here at
+    # the BLAS count set before the run (2, so that a tile run at one thread
+    # shows on any host), the count restored and no fd left (`two_processes`)
     get, put = two_processes
     engine = backends.evolve_batch
 
     def fails():  # a new error each time: a kept one would hold its frames and their map
-        raise OSError(code, os.strerror(code))
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
     def noted(*args, **kwargs):
         tally.note(get(), os.getpid())
@@ -703,7 +695,7 @@ def test_a_failed_fork_runs_every_tile_here(call, code, monkeypatch, tally, two_
     outside = get()
     put(2)
     try:
-        monkeypatch.setattr(os, call, fails)
+        monkeypatch.setattr(os, "fork", fails)
         monkeypatch.setattr(backends, "evolve_batch", noted)
         cfg = dataclasses.replace(default_config(), n_trials=6)
         here = run_trials(cfg)
@@ -713,6 +705,29 @@ def test_a_failed_fork_runs_every_tile_here(call, code, monkeypatch, tally, two_
         _same_trials(here, run_trials(cfg))
     finally:
         put(outside)
+
+
+def test_a_forked_sweep_opens_no_pipe_and_forks_where_none_can_be_opened(
+        monkeypatch, tally, two_processes):
+    # two tiles of 3 trials, the second one the child's: the sweep never
+    # calls os.pipe, so with os.pipe raising EMFILE the run still forks once
+    # and gives the serial path's bits
+    pipes, forks = [], []
+    fork = os.fork
+
+    def no_pipe():  # a new error each time: a kept one would hold its frames and their map
+        pipes.append(None)
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+    monkeypatch.setattr(os, "pipe", no_pipe)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+    monkeypatch.setattr(backends, "evolve_batch", _noted(tally, backends.evolve_batch))
+    cfg = dataclasses.replace(default_config(), n_trials=6)
+    forked = run_batch(cfg)
+    assert (pipes, forks) == ([], [None])
+    assert len({pid for pid, in tally.lines()}) == 2  # a child ran a tile
+    _serial(monkeypatch)
+    assert repr(forked) == repr(run_batch(cfg))
 
 
 def test_a_run_that_does_not_fork_leaves_the_blas_count_alone(monkeypatch):
