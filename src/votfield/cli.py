@@ -11,6 +11,7 @@ and how, is `outputs.write_run`'s decision.
 """
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -26,6 +27,7 @@ from .readout import METHODS, trial_metrics
 ENV_OUT = "VOTFIELD_OUT"  # default output directory when --out / out_dir are unset
 
 
+@functools.cache  # parse_args keeps no state, so one parser serves every run
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON config file")

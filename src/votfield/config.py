@@ -1,11 +1,11 @@
 """Run configuration: JSON loading, validation, canonical serialization.
 
-A config file is a JSON object with (all optional) keys:
+A config file is the default config's JSON form (configs/defaults.json)
+with the keys it gives replaced, at every level. Its keys, all optional:
 
-    field        object — any FieldParams field (tau, h, beta, c_exc, c_inh,
-                 c_glob, sigma_exc, sigma_inh, q, field_size, dt, n_steps,
-                 u_init, noise_smooth_sigma); u_init may be a number, null,
-                 or the string "resting" (alias for null)
+    field        object — any FieldParams field (the `field` object of
+                 configs/defaults.json); u_init may be a number, null, or the
+                 string "resting" (alias for null)
     inputs       list of {label, a, p, w}; entries whose label matches a
                  default input ("target", "mp") inherit its unspecified
                  fields; defaults not mentioned are kept
@@ -36,8 +36,6 @@ DEFAULT_INPUTS = (
     GaussianInput(a=0.0, p=20.0, w=30.0, label="mp"),
 )
 
-_TOP_KEYS = ("field", "inputs", "sweep", "n_trials", "master_seed", "readout", "out_dir")
-_FIELD_KEYS = tuple(f.name for f in fields(FieldParams))
 _INPUT_KEYS = tuple(f.name for f in fields(GaussianInput))
 
 
@@ -130,58 +128,44 @@ def _merge_inputs(entries):
         return DEFAULT_INPUTS
     if not isinstance(entries, list):
         raise ConfigError("inputs must be a JSON array")
-    defaults = {inp.label: inp for inp in DEFAULT_INPUTS}
+    defaults = {inp.label: asdict(inp) for inp in DEFAULT_INPUTS}
     merged = []
     for entry in entries:
         _check_keys(entry, _INPUT_KEYS, "input")
         label = entry.get("label")
         if not isinstance(label, str) or not label:
             raise ConfigError("each input needs a nonempty string 'label'")
-        base = defaults.get(label)
-        kwargs = {}
-        for key in ("a", "p", "w"):
-            if key in entry:
-                kwargs[key] = entry[key]
-            elif base is not None:
-                kwargs[key] = getattr(base, key)
-            else:
+        kwargs = {**defaults.get(label, {}), **entry}
+        for key in _INPUT_KEYS:
+            if key not in kwargs:
                 raise ConfigError(f"input {label!r} missing key {key!r}")
-        merged.append(GaussianInput(label=label, **kwargs))
+        merged.append(GaussianInput(**kwargs))
     labels = {inp.label for inp in merged}
     return tuple(merged) + tuple(inp for inp in DEFAULT_INPUTS if inp.label not in labels)
 
 
-def _merge_range(raw, base, name):
-    if raw is None:
-        return base
-    _check_keys(raw, _RANGE_KEYS, f"sweep {name}")
-    return SweepRange(**{key: raw.get(key, getattr(base, key)) for key in _RANGE_KEYS},
-                      name=name)
+def _merged(raw, base, where):
+    """`base` with the keys of `raw` replaced; `raw` may have no other key."""
+    _check_keys(raw, base, where)
+    return {**base, **raw}
 
 
 def config_from_dict(raw):
-    """Build a resolved RunConfig from a parsed JSON object."""
-    _check_keys(raw, _TOP_KEYS, "config")
-    fdict = raw.get("field", {})
-    _check_keys(fdict, _FIELD_KEYS, "field")
-    fdict = dict(fdict)
-    if fdict.get("u_init") == "resting":
+    """Build a resolved RunConfig from a parsed JSON object: the default
+    config's JSON form with the keys `raw` gives replaced, at every level."""
+    base = config_to_dict(RunConfig())
+    data = _merged(raw, base, "config")
+    fdict = _merged(data.pop("field"), base["field"], "field")
+    if fdict["u_init"] == "resting":
         fdict["u_init"] = None  # string sentinel for the default start level
     params = FieldParams(**fdict)
-    inputs = _merge_inputs(raw.get("inputs"))
-    sweep = raw.get("sweep", {})
-    _check_keys(sweep, ("a_mp", "a_target"), "sweep")
-    base = RunConfig()
-    kwargs = {
-        "field": params,
-        "inputs": inputs,
-        "sweep_a_mp": _merge_range(sweep.get("a_mp"), base.sweep_a_mp, "a_mp"),
-        "sweep_a_target": _merge_range(sweep.get("a_target"), base.sweep_a_target, "a_target"),
-    }
-    for key in ("n_trials", "master_seed", "readout", "out_dir"):
-        if key in raw:
-            kwargs[key] = raw[key]
-    return RunConfig(**kwargs)
+    inputs = _merge_inputs(data.pop("inputs"))
+    sweep = _merged(data.pop("sweep"), base["sweep"], "sweep")
+    ranges = {}
+    for name, rng in sweep.items():  # a null range keeps its default
+        rng = _merged({} if rng is None else rng, base["sweep"][name], f"sweep {name}")
+        ranges[f"sweep_{name}"] = SweepRange(**rng, name=name)
+    return RunConfig(field=params, inputs=inputs, **ranges, **data)
 
 
 def load_config(path):

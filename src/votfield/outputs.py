@@ -23,8 +23,6 @@ SWEEP_COLUMNS = ("a_target", "a_mp", "n_trials", "mean_vot", "sd_vot", "sem_vot"
                  "skewness", "ch_ms", "frac_stabilized", "mean_time_to_threshold",
                  "readout_method", "master_seed")
 
-PLOT_KINDS = ("sweep_line", "field_evolution_heatmap", "surface_2d")
-
 
 def _cell(v):
     if v is None:
@@ -413,9 +411,13 @@ def _render_surface(result):
     return svg
 
 
+_RENDERERS = {"sweep_line": _render_sweep_line, "field_evolution_heatmap": _plot_heatmap,
+              "surface_2d": _render_surface}
+PLOT_KINDS = tuple(_RENDERERS)
+
+
 def _write_plot(fh, data, kind):
-    render = {"sweep_line": _render_sweep_line, "field_evolution_heatmap": _plot_heatmap,
-              "surface_2d": _render_surface}.get(kind)
+    render = _RENDERERS.get(kind)
     if render is None:
         raise ConfigError(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
     render(data).dump(fh)

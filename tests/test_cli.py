@@ -4,6 +4,7 @@ import contextlib
 import errno
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -23,7 +24,7 @@ except ModuleNotFoundError:  # Python < 3.11
 import votfield
 from votfield import (REPLICATIONS, SWEEP_COLUMNS, ConfigError, config_from_dict,
                       experiments, load_config, outputs, serialize_config)
-from votfield.cli import cli_main
+from votfield.cli import build_parser, cli_main
 
 
 def run_cli(argv, capsys):
@@ -414,7 +415,7 @@ def test_forked_export_raises_a_formatting_error_in_write_order(tmp_path, capfd,
         shutil.rmtree(out_dir)
         return err, files
 
-    monkeypatch.setattr(outputs, "_plot_heatmap", no_heatmap)
+    monkeypatch.setitem(outputs._RENDERERS, "field_evolution_heatmap", no_heatmap)
     monkeypatch.setattr(experiments, "_can_fork", lambda: True)
     forked = failed_run()
     assert len(forks) == 1
@@ -645,6 +646,22 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(["--help"], capsys)[0] == 0
 
 
+def test_one_parser_serves_every_run_of_a_process(tmp_path, capsys):
+    # the parser is built once per process; a run after others prints and
+    # exits as it does with a parser of its own
+    assert build_parser() is build_parser()
+    out = str(tmp_path / "o")
+    argvs = (["batch", "--trials", "2", "--out", out], ["simulate", "--out", out],
+             ["replicate", "--out", out])
+    in_turn = [run_cli(argv, capsys) for argv in argvs]
+    alone = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        alone.append(run_cli(argv, capsys))
+    assert in_turn == alone
+    assert [code for code, _, _ in alone] == [0, 0, 2]
+
+
 def test_out_dir_precedence(tmp_path, capsys, monkeypatch):
     # env var is the fallback...
     monkeypatch.setenv("VOTFIELD_OUT", str(tmp_path / "envout"))
@@ -691,6 +708,17 @@ def test_console_script_entry_point():
     code = (f"import sys; from {module} import {attr}; "
             f"sys.argv = ['votfield', '--help']; sys.exit({attr}())")
     assert_help_output(run_fresh("-c", code))
+
+
+def test_ci_installs_the_declared_dependencies():
+    # the workflow's install line repeats pyproject's dependencies and test
+    # extras by hand, so both must name the same requirements
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    declared = set(project["dependencies"]) | set(project["optional-dependencies"]["test"])
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text()
+    [line] = [line for line in workflow.splitlines() if 'pip install "' in line]
+    assert set(re.findall(r'"([^"]+)"', line)) == declared
 
 
 def test_python_dash_m_runs_the_cli():

@@ -46,6 +46,8 @@ def test_partial_override_merges_onto_defaults(tmp_path):
 
 
 def test_new_input_label_requires_full_geometry(tmp_path):
+    with pytest.raises(ConfigError, match="missing key 'a'"):
+        config_from_dict({"inputs": [{"label": "distractor", "p": 120.0, "w": 15.0}]})
     raw = {"inputs": [{"label": "distractor", "a": 1.0, "p": 120.0}]}
     with pytest.raises(ConfigError, match="w"):
         load_config(write(tmp_path, raw))
@@ -68,10 +70,34 @@ def test_duplicate_and_unlabeled_inputs_rejected():
     ({"inputs": [{"label": "mp", "amp": 1}]}, "amp"),
     ({"sweep": {"a_both": {}}}, "a_both"),
     ({"sweep": {"a_mp": {"low": 0}}}, "low"),
+    ({"sweep": {"a_target": {"bogus": 1}}}, "bogus"),
+    ({"inputs": [{"label": "distractor", "a": 1, "p": 9, "w": 3, "bogus": 1}]}, "bogus"),
 ])
 def test_unknown_keys_rejected_everywhere(raw, key):
     with pytest.raises(ConfigError, match=key):
         config_from_dict(raw)
+
+
+@pytest.mark.parametrize("raw,error", [
+    # a null sweep axis or inputs keeps its default, an empty object is no change
+    ({"sweep": {"a_mp": None}}, None),
+    ({"sweep": {"a_target": None}}, None),
+    ({"inputs": None}, None),
+    ({"field": {}}, None),
+    ({"sweep": {}}, None),
+    ({"field": {"u_init": "resting"}}, None),
+    ({"field": None}, "field must be a JSON object, got NoneType"),
+    ({"sweep": None}, "sweep must be a JSON object, got NoneType"),
+    ({"sweep": {"a_mp": 0}}, "sweep a_mp must be a JSON object, got int"),
+    ({"inputs": {}}, "inputs must be a JSON array"),
+])
+def test_merge_edge_cases(raw, error):
+    if error is None:
+        assert config_from_dict(raw) == default_config()
+    else:
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(raw)
+        assert str(info.value) == error
 
 
 @pytest.mark.parametrize("raw,key", [

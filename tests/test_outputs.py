@@ -272,8 +272,10 @@ def test_heatmap_requires_states(lean_traj, tmp_path):
 
 
 def test_unknown_plot_kind_rejected(tiny_sweep, tmp_path):
-    with pytest.raises(ConfigError, match="kind"):
+    with pytest.raises(ConfigError) as info:
         render_plots(tiny_sweep, "pie", tmp_path / "x.svg")
+    assert str(info.value) == ("unknown plot kind 'pie'; expected one of "
+                               "('sweep_line', 'field_evolution_heatmap', 'surface_2d')")
     assert not (tmp_path / "x.svg").exists()
 
 
