@@ -14,8 +14,10 @@ tests/test_backends.py pins this on every host it runs on. The noise
 smoothing multiplies by a `toeplitz` table too (`field.draw_noise`), but on
 each trial's noise alone, so those bits do not depend on the batch either.
 
-The step runs in place on C-ordered buffers allocated once per call, in the
-literal update's order of operations, so it gives the literal update's bits.
+The step runs in place on three C-ordered buffers allocated once per call
+(the state, the gate, which then takes the bracket, and the lateral product),
+in the literal update's order of operations, so it gives the literal update's
+bits.
 """
 
 import math
@@ -92,7 +94,6 @@ def evolve_batch(params, u0, drive, table, noise3, keep_states=False, carry=None
         first_step, first_pos, diverged = np.full((3,) + lead, -1, np.int64)
     else:
         u, first_step, first_pos, diverged = carry[:4]
-    bracket = np.empty(shape)
     states = np.empty(lead + (n_steps + 1, n)) if keep_states else None
     waiting = bool((first_step < 0).any())  # some row has not crossed yet
 
@@ -123,15 +124,16 @@ def evolve_batch(params, u0, drive, table, noise3, keep_states=False, carry=None
             np.add(1.0, g, out=g)
             np.multiply(0.5, g, out=g)
             np.matmul(gated, table, out=lateral)
-            np.subtract(h, u, out=bracket)  # -u + h, bit for bit
-            bracket += drive
-            bracket += lat
+            # the bracket in the gate's place, which the product has read
+            np.subtract(h, u, out=g)  # -u + h, bit for bit
+            g += drive
+            g += lat
             if q == 1.0:  # q * xi is xi, bit for bit
-                bracket += noise3[..., k, :]
+                g += noise3[..., k, :]
             else:
                 np.multiply(q, noise3[..., k, :], out=lat)  # in the spent product's place
-                bracket += lat
-            np.multiply(r, bracket, out=bracket)
-            u += bracket
+                g += lat
+            np.multiply(r, g, out=g)
+            u += g
             record(t0 + k + 1)
     return Evolution(u, first_step, first_pos, diverged, states)

@@ -163,9 +163,11 @@ def _can_fork():
 
 @functools.cache
 def _blas_threads():
-    """The (get, set) thread-count functions of the OpenBLAS that numpy's
+    """The (get, set, shutdown) thread functions of the OpenBLAS that numpy's
     wheel bundles, or None under another BLAS (the symbols are private to the
-    wheel's scipy-openblas build)."""
+    wheel's scipy-openblas build). `shutdown` ends the worker threads, as
+    OpenBLAS's own fork handler does, and the next threaded product starts
+    them again; where the library lacks it, it does nothing."""
     try:
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
         get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
@@ -173,7 +175,7 @@ def _blas_threads():
         return None
     get.argtypes, get.restype = [], ctypes.c_int
     put.argtypes, put.restype = [ctypes.c_int], None
-    return get, put
+    return get, put, getattr(lib, "blas_thread_shutdown_", lambda: 0)
 
 
 def _parts(n, size):
@@ -247,10 +249,10 @@ def _run_cells(cfg, conditions, keep_final=False):
     per tile into shared arrays (`_shared`). Where `_can_fork` and
     `_blas_threads` allow, with the BLAS held at one thread, a forked child
     (`_forked`) runs every second tile; this process runs the others, reaps
-    the child and, with the BLAS count restored, runs every tile not flagged
-    (all of them where the fork failed), so a child that dies or raises
-    leaves the serial path's results and errors. A row's bits depend on
-    neither its tile nor its process.
+    the child and, with the BLAS count restored and its workers stopped,
+    runs every tile not flagged (all of them where the fork failed), so a
+    child that dies or raises leaves the serial path's results and errors.
+    A row's bits depend on neither its tile nor its process.
 
     The lowest diverging cell's first diverging trial is raised as an
     IntegrationDivergedError. Each process skips the cells above the lowest
@@ -314,7 +316,7 @@ def _run_cells(cfg, conditions, keep_final=False):
 
     blas = _blas_threads() if len(tiles) > 1 and _can_fork() else None
     if blas is not None:  # one BLAS thread in each process while they run side by side
-        get, put = blas
+        get, put, shutdown = blas
         old = get()
         put(1)
         try:
@@ -323,6 +325,7 @@ def _run_cells(cfg, conditions, keep_final=False):
                     run_tiles(range(0, len(tiles), 2))
         finally:
             put(old)
+            shutdown()  # the worker `put` re-creates after the fork would busy-wait on a core
     # every tile not done (all of them without a child) at the BLAS's own count
     run_tiles(np.flatnonzero(~done))
     bad = np.argwhere(diverged >= 0)

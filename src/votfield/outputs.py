@@ -5,9 +5,9 @@ All emitters are pure functions of their inputs: floats are written with repr
 with the same data reproduces byte-identical files. Only `_write_here` opens
 an output file. `write_run` writes a run's files, listed once by `_pieces`;
 with a trajectory, where `experiments._can_fork` allows (the switch the sweep
-asks too), a child forked by `experiments._forked` formats about half of them,
-sending where each ends through a pipe of `_write_forked`'s own, and this
-process writes every file.
+asks too), a child forked by `experiments._forked` formats the back half of
+the pieces, sending where each ends through a pipe of `_write_forked`'s own,
+and this process writes every file.
 """
 
 import os
@@ -60,12 +60,12 @@ def _write_here(pieces):
     directory it lacks, opened once as a `_File` and its pieces written as
     they come; returns the paths in write order."""
     written = []
-    for path, same in groupby(pieces, key=lambda piece: piece[1]):
+    for path, same in groupby(pieces, key=lambda piece: piece[0]):
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         fh = _File(path)
         try:
-            for _, _, write, *args in same:
+            for _, write, *args in same:
                 write(fh, *args)
         finally:
             if fh.fh is not None:
@@ -84,7 +84,7 @@ def _write_sweep(fh, result):
 
 def emit_sweep_csv(result, path):
     """One row per condition, grid order (a_target outer asc, a_mp inner asc)."""
-    return _write_here([(0, path, _write_sweep, result)])[0]
+    return _write_here([(path, _write_sweep, result)])[0]
 
 
 def _states(traj, what):
@@ -123,8 +123,8 @@ def emit_trajectory_csv(traj, path):
     (step, max_u, n_above_threshold), which lands next to `path` with an
     `_summary` suffix."""
     path = Path(path)
-    return tuple(_write_here([(0, path, _write_trajectory_rows, traj, 0, len(traj)),
-                              (0, _summary_path(path), _write_trajectory_summary, traj)]))
+    return tuple(_write_here([(path, _write_trajectory_rows, traj, 0, len(traj)),
+                              (_summary_path(path), _write_trajectory_summary, traj)]))
 
 
 # ------------------------------------------------------------ SVG rendering
@@ -429,43 +429,29 @@ def render_plots(data, kind, path):
     kinds: sweep_line (SweepResult), field_evolution_heatmap (Trajectory with
     states), surface_2d (SweepResult grid).
     """
-    return _write_here([(0, path, _write_plot, data, kind)])[0]
+    return _write_here([(path, _write_plot, data, kind)])[0]
 
 
 # ------------------------------------------------------------ a run's export
 
 
 def _pieces(out, stem, sweep, kind, trajectories):
-    """A run's export as (cost, path, text writer, *its arguments) pieces in
-    write order: the sweep's CSV and plot, then for each trajectory its step
-    rows in up to four row ranges (the first with the header), its summary
-    and its heatmap. A trajectory's rows are priced at 2 against its heatmap's
-    1 (measured: about 3; `_split` cuts simulate, fig6, fig7 and conditions at
-    3, 11, 11 and 14 at either price); the sweep's files and a summary cost 0."""
+    """A run's export as (path, text writer, *its arguments) pieces in write
+    order: the sweep's CSV and plot, then for each trajectory its step rows in
+    up to four row ranges (the first with the header), its summary and its
+    heatmap."""
     pieces = []
     if sweep is not None:
-        pieces.append((0, out / f"{stem}.csv", _write_sweep, sweep))
+        pieces.append((out / f"{stem}.csv", _write_sweep, sweep))
     if kind is not None:
-        pieces.append((0, out / f"{stem}.svg", _write_plot, sweep, kind))
+        pieces.append((out / f"{stem}.svg", _write_plot, sweep, kind))
     for tag, traj in sorted(trajectories.items()):
         path = out / (f"{stem}_traj_{tag}.csv" if tag else f"{stem}.csv")
         rows = experiments._parts(len(traj), -(-len(traj) // 4))
-        pieces += [(2 / len(rows), path, _write_trajectory_rows, traj, r.start, r.stop)
-                   for r in rows]
-        pieces += [(0, _summary_path(path), _write_trajectory_summary, traj),
-                   (1, path.with_suffix(".svg"), _write_plot, traj, "field_evolution_heatmap")]
+        pieces += [(path, _write_trajectory_rows, traj, r.start, r.stop) for r in rows]
+        pieces += [(_summary_path(path), _write_trajectory_summary, traj),
+                   (path.with_suffix(".svg"), _write_plot, traj, "field_evolution_heatmap")]
     return pieces
-
-
-def _split(pieces):
-    """Where the child's share of the pieces starts: the tail of the pieces
-    up to half their total cost."""
-    left = sum(piece[0] for piece in pieces) / 2
-    k = len(pieces)
-    while pieces[k - 1][0] <= left:
-        k -= 1
-        left -= pieces[k][0]
-    return k
 
 
 def _handed_back(pieces, memfd, ends):
@@ -473,18 +459,18 @@ def _handed_back(pieces, memfd, ends):
     each one `ends` says it finished, and each one after as it is."""
     start = 0
     for piece, end in zip_longest(pieces, ends):  # no end: the child stopped before it
-        yield piece if end is None else (*piece[:2], _File.copy, memfd, start, end)
+        yield piece if end is None else (piece[0], _File.copy, memfd, start, end)
         start = end
 
 
 def _write_forked(pieces):
     """`_write_here` with a forked child (`experiments._forked`) formatting
-    the tail of the pieces (`_split`) into a memfd and sending each one's end
+    the back half of the pieces by count into a memfd and sending each one's end
     offset through a pipe (8 bytes; it stalls at 8192 unread ends and sends
     six a trajectory at most). This process writes every file in one pass,
     copying each piece as its end arrives and formatting the rest
     (`_handed_back`): files, bytes and errors are those of one process."""
-    k = _split(pieces)
+    k = len(pieces) // 2
     fds = []  # the memfd and the pipe's read and write ends, closed on the way out
     try:
         try:
@@ -497,7 +483,7 @@ def _write_forked(pieces):
         def format_share():  # the child's work
             os.close(read)
             with os.fdopen(memfd, "w", encoding="utf-8", newline="", closefd=False) as fh:
-                for _, _, format_piece, *args in pieces[k:]:
+                for _, format_piece, *args in pieces[k:]:
                     format_piece(fh, *args)
                     os.write(write, fh.tell().to_bytes(8, "little"))
 
@@ -514,6 +500,6 @@ def _write_forked(pieces):
 def write_run(out, stem, sweep, kind, trajectories):
     """Write a run's CSV and SVG files; returns their paths in write order.
     For a run with a trajectory (most of the cost), where
-    `experiments._can_fork()` allows, a forked child formats about half of them."""
+    `experiments._can_fork()` allows, a forked child formats the back half."""
     write = _write_forked if trajectories and experiments._can_fork() else _write_here
     return write(_pieces(out, stem, sweep, kind, trajectories))

@@ -428,24 +428,36 @@ def test_forked_export_raises_a_formatting_error_in_write_order(tmp_path, capfd,
 
 def forked_and_in_process(argv, out_dir, capsys, monkeypatch):
     """run_and_collect of `argv` on the forked path (forced, whatever the
-    cores) and then in one process, with the `_split` of the forked run as
-    (index of the child's first piece, its file name, the first step row it
-    writes, or None where it is no step rows)."""
-    splits = []
-    split = outputs._split
+    cores) and then in one process, with the child's first piece in the
+    forked run as (its index, its file name, the first step row it writes,
+    or None where it is no step rows): the piece after those this process
+    formats, counted through the writers, which the child's calls do not
+    reach."""
+    pieces, here = [], []  # the last run's pieces; the writers' calls in this process
+    pieces_of = outputs._pieces
 
-    def recorded(pieces):
-        k = split(pieces)
-        _, path, write, *args = pieces[k]
-        splits.append((k, path.name, args[1] if write is outputs._write_trajectory_rows else None))
-        return k
+    def listed(*args):
+        pieces[:] = pieces_of(*args)
+        return pieces
 
-    monkeypatch.setattr(outputs, "_split", recorded)
+    def counted(write):
+        def call(*args):
+            here.append(None)
+            return write(*args)
+        return call
+
+    for name in ("_write_sweep", "_write_trajectory_rows", "_write_trajectory_summary",
+                 "_write_plot"):
+        monkeypatch.setattr(outputs, name, counted(getattr(outputs, name)))
+    monkeypatch.setattr(outputs, "_pieces", listed)
     monkeypatch.setattr(experiments, "_can_fork", lambda: True)
     forked = run_and_collect(argv, out_dir, capsys)
     assert_no_child_left()
+    k = len(here)
+    path, write, *args = pieces[k]
+    split = (k, path.name, args[1] if write is outputs._write_trajectory_rows else None)
     monkeypatch.setattr(experiments, "_can_fork", lambda: False)
-    return forked, run_and_collect(argv, out_dir, capsys), splits
+    return forked, run_and_collect(argv, out_dir, capsys), split
 
 
 # a field of two positions, where one row of the engine is padded to two
@@ -454,18 +466,19 @@ FIELD_SIZE_2 = {"field": {"field_size": 2, "n_steps": 1},
 
 
 @pytest.mark.parametrize("command, config, split", [
-    # 2 and 3 rows: the child formats the summary and the heatmap
+    # the back half of the pieces by count. 2 rows: the summary and the heatmap
     (["simulate"], {"field": {"n_steps": 1}}, (2, "trajectory_summary.csv", None)),
-    (["simulate"], {"field": {"n_steps": 2}}, (3, "trajectory_summary.csv", None)),
+    (["simulate"], {"field": {"n_steps": 2}}, (2, "trajectory.csv", 2)),  # 3 rows: the last
     (["simulate"], {"field": {"n_steps": 3}}, (3, "trajectory.csv", 3)),  # 4 rows: the last
     (["simulate"], None, (3, "trajectory.csv", 90)),  # 121 rows: the last 31 rows on
-    # the middle trajectory's last 31 rows on, after the sweep's two files
-    (["replicate", "fig6"], None, (11, "fig6_traj_amp-6.csv", 90)),
-    # 2 of 4 trajectories: the third trajectory's file from its header on
-    (["replicate", "conditions"], None, (14, "conditions_bbg2009_traj_no_context.csv", 0)),
+    # 10 of 20 pieces: the middle trajectory's last 61 rows on
+    (["replicate", "fig6"], None, (10, "fig6_traj_amp-6.csv", 60)),
+    # 13 of 26 pieces: the second trajectory's heatmap
+    (["replicate", "conditions"], None,
+     (13, "conditions_bbg2009_traj_no_competitor.svg", None)),
     (["simulate"], FIELD_SIZE_2, (2, "trajectory_summary.csv", None)),
-    (["replicate", "fig7", "--trials", "1"], FIELD_SIZE_2,
-     (8, "fig7_traj_amp-6_summary.csv", None)),
+    # 7 of 14 pieces: the middle trajectory's second row
+    (["replicate", "fig7", "--trials", "1"], FIELD_SIZE_2, (7, "fig7_traj_amp-6.csv", 1)),
 ], ids=["simulate-2-rows", "simulate-3-rows", "simulate-4-rows", "simulate", "fig6", "conditions",
         "simulate-field-size-2", "fig7-field-size-2"])
 def test_forked_export_cut_at_a_step_row_writes_what_one_process_writes(
@@ -476,9 +489,8 @@ def test_forked_export_cut_at_a_step_row_writes_what_one_process_writes(
     if config is not None:
         (tmp_path / "config.json").write_text(json.dumps(config))
         argv += ["--config", str(tmp_path / "config.json")]
-    forked, in_process, splits = forked_and_in_process(argv, tmp_path / "o", capsys,
-                                                       monkeypatch)
-    assert splits == [split]
+    forked, in_process, cut = forked_and_in_process(argv, tmp_path / "o", capsys, monkeypatch)
+    assert cut == split
     assert forked == in_process and forked[0] == 0
 
 
@@ -490,9 +502,8 @@ def test_no_cut_leaves_an_empty_side(trajectories, rows, sweep):
     pieces = outputs._pieces(Path("o"), "s", object() if sweep else None,
                          "sweep_line" if sweep else None,
                          {str(t): traj for t in range(trajectories)})
-    k = outputs._split(pieces)
+    k = len(pieces) // 2  # where `_write_forked` cuts
     assert 0 < k < len(pieces)  # this process and the child each get a piece
-    assert sum(piece[0] for piece in pieces[k:]) <= sum(piece[0] for piece in pieces) / 2 + 1e-9
 
 
 # simulate's child formats the last 31 of its 121 step rows (its first piece),

@@ -316,11 +316,11 @@ def _noted(tally, fn, *words):
 def test_a_run_holds_two_tiles_of_noise_blocks():
     # 256 trials are two tiles of 128, one in each process (both here where
     # the run does not fork); each holds one block of its trials' noise and
-    # the engine's four (128, n) buffers at a time, not the trials' whole
+    # the engine's three (128, n) buffers at a time, not the trials' whole
     # noise (24.6 MB for 128 trials)
     params = default_config().field
     row_bytes = experiments._CHUNK * params.field_size * 8
-    two_tiles = 2 * (experiments._BLOCK + 4) * row_bytes
+    two_tiles = 2 * (experiments._BLOCK + 3) * row_bytes
     tracemalloc.start()
     try:
         run_batch(n_trials=256)
@@ -421,10 +421,12 @@ def _shared_maps():
 @pytest.fixture
 def two_processes(monkeypatch):
     """The sweep's forked path, whatever the host, with a stand-in BLAS
-    setter where numpy's OpenBLAS has none; yields the (get, set) pair and
-    checks that the test left no child, file descriptor or shared map."""
+    setter where numpy's OpenBLAS has none; yields the (get, set, shutdown)
+    functions and checks that the test left no child, file descriptor or
+    shared map."""
     count = [3]
-    blas = experiments._blas_threads() or (lambda: count[0], lambda k: count.__setitem__(0, k))
+    blas = experiments._blas_threads() or (lambda: count[0], lambda k: count.__setitem__(0, k),
+                                           lambda: 0)
     monkeypatch.setattr(experiments, "_blas_threads", lambda: blas)
     monkeypatch.setattr(experiments, "_can_fork", lambda: True)
     gc.collect()  # a caught error's traceback holds its run's frame in a cycle
@@ -642,7 +644,7 @@ def test_a_run_restores_the_blas_thread_count(monkeypatch, tally, two_processes)
     # set to 2 so that a run left at one thread shows: both processes' engine
     # calls run at one BLAS thread, and the 2 comes back after a run that
     # returns, diverges, or raises in either process
-    get, put = two_processes
+    get, put, _ = two_processes
     engine = backends.evolve_batch
 
     def noted(*args, **kwargs):
@@ -682,7 +684,7 @@ def test_a_failed_fork_runs_every_tile_here(monkeypatch, tally, two_processes):
     # a fork that raises OSError leaves the serial path: every tile here at
     # the BLAS count set before the run (2, so that a tile run at one thread
     # shows on any host), the count restored and no fd left (`two_processes`)
-    get, put = two_processes
+    get, put, _ = two_processes
     engine = backends.evolve_batch
 
     def fails():  # a new error each time: a kept one would hold its frames and their map
@@ -733,15 +735,41 @@ def test_a_forked_sweep_opens_no_pipe_and_forks_where_none_can_be_opened(
 def test_a_run_that_does_not_fork_leaves_the_blas_count_alone(monkeypatch):
     # two tiles of 2 trials: with `_can_fork` False both run here and the
     # stand-in setter is never called; with it True the run holds one thread
-    # across the fork and restores the count
+    # across the fork, restores the count and then stops the workers
     sets = []
-    monkeypatch.setattr(experiments, "_blas_threads", lambda: (lambda: 3, sets.append))
+    monkeypatch.setattr(experiments, "_blas_threads",
+                        lambda: (lambda: 3, sets.append, lambda: sets.append("shutdown")))
     monkeypatch.setattr(experiments, "_can_fork", lambda: False)
     run_batch(n_trials=4)
     assert sets == []
     monkeypatch.setattr(experiments, "_can_fork", lambda: True)
     run_batch(n_trials=4)
-    assert sets == [1, 3]
+    assert sets == [1, 3, "shutdown"]
+
+
+@pytest.mark.skipif(experiments._blas_threads() is None,
+                    reason="numpy's BLAS has no OpenBLAS thread-count setter")
+def test_a_forked_run_leaves_no_blas_worker_spinning(monkeypatch):
+    # restoring the count after the fork re-creates the OpenBLAS worker that
+    # the library's fork handler stopped; left running, it busy-waits on the
+    # other core for about 130 ms. Stopped, it uses no CPU, the count reads
+    # back as set, and the next threaded product starts a worker again
+    get, put = experiments._blas_threads()[:2]
+    monkeypatch.setattr(experiments, "_can_fork", lambda: True)
+    outside = get()
+    put(2)
+    try:
+        run_batch(n_trials=20)  # two tiles, the second one the child's
+        process, thread = time.process_time(), time.thread_time()
+        time.sleep(0.2)
+        others = (time.process_time() - process) - (time.thread_time() - thread)
+        assert others < 0.02, f"other threads took {others * 1e3:.0f} ms of CPU"
+        assert get() == 2
+        threads = len(os.listdir("/proc/self/task"))
+        np.ones((300, 300)) @ np.ones((300, 300))
+        assert len(os.listdir("/proc/self/task")) > threads
+    finally:
+        put(outside)
 
 
 def test_two_processes_build_the_smoothing_table_once(monkeypatch, tally, two_processes):
