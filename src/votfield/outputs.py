@@ -10,7 +10,10 @@ the pieces, sending where each ends through a pipe of `_write_forked`'s own,
 and this process writes every file.
 """
 
+import binascii
 import os
+import struct
+import zlib
 from itertools import chain, groupby, zip_longest
 from pathlib import Path
 
@@ -141,17 +144,17 @@ _WHITE = (255, 255, 255)
 _NO_DATA = "#bdbdbd"  # grey: no value in the blue/white/yellow blends
 
 
-def _diverging(values, vmax, pos_color, neg_color):
-    """Hex fill for each value: white at 0, blended linearly towards
+def _packed(values, vmax, pos_color, neg_color):
+    """Colour of each value as 0xrrggbb: white at 0, blended linearly towards
     `pos_color` at +vmax and `neg_color` at -vmax, clipped beyond.
 
-    Returns an array of '#rrggbb' strings shaped like `values`. Channels are
-    computed as white + (color - white) * |t| in float64 and rounded half to
-    even, so a fill depends only on its value, never on the array around it.
+    Returns an int64 array shaped like `values`. Channels are computed as
+    white + (color - white) * |t| in float64 and rounded half to even, so a
+    colour depends only on its value, never on the array around it.
     """
     values = np.asarray(values, dtype=np.float64)
     if vmax <= 0:
-        return np.full(values.shape, "#ffffff")
+        return np.full(values.shape, 0xffffff, dtype=np.int64)
     # fmin/fmax send NaN to +1 (full pos_color), as Python's min/max do
     t = np.fmax(-1.0, np.fmin(1.0, values / vmax))
     neg = t < 0
@@ -165,9 +168,39 @@ def _diverging(values, vmax, pos_color, neg_color):
         channel += w
         packed *= 256
         packed += np.rint(channel, out=channel)
-    keys, index = np.unique(packed, return_inverse=True)
-    table = np.array([f"#{k:06x}" for k in keys.astype(np.int64).tolist()])
-    return table[index.reshape(values.shape)]
+    return packed.astype(np.int64)
+
+
+def _diverging(values, vmax, pos_color, neg_color):
+    """'#rrggbb' fill of each value (`_packed`), in an array shaped like
+    `values`."""
+    packed = _packed(values, vmax, pos_color, neg_color)
+    return np.array([f"#{k:06x}" for k in packed.ravel().tolist()]).reshape(packed.shape)
+
+
+def _png(pixels):
+    """PNG file of a (height, width) array of 0xrrggbb colours, top row
+    first: 8-bit RGB, no row filter, and a zlib stream of stored (uncompressed)
+    deflate blocks, so the bytes depend on no compressor build."""
+    height, width = pixels.shape
+    rgb = np.ascontiguousarray(pixels, dtype=">u4").view(np.uint8).reshape(height, width, 4)
+    rows = np.zeros((height, 1 + 3 * width), np.uint8)  # each row: filter type 0, then r, g, b
+    rows[:, 1:] = rgb[:, :, 1:].reshape(height, 3 * width)
+    raw = rows.tobytes()
+    blocks = [raw[i:i + 0xffff] for i in range(0, len(raw), 0xffff)]
+    # each block: a byte with the final flag and type 00 (stored), LEN, ~LEN
+    stream = b"".join(struct.pack("<BHH", k == len(blocks) - 1, len(b), 0xffff ^ len(b)) + b
+                      for k, b in enumerate(blocks))
+
+    def chunk(kind, data):
+        return (struct.pack(">I", len(data)) + kind + data
+                + struct.pack(">I", zlib.crc32(kind + data)))
+
+    return (b"\x89PNG\r\n\x1a\n"
+            + chunk(b"IHDR", struct.pack(">IIBBBBB", width, height, 8, 2, 0, 0, 0))
+            # the zlib header says deflate with a 32 KiB window, no dictionary
+            + chunk(b"IDAT", b"\x78\x01" + stream + struct.pack(">I", zlib.adler32(raw)))
+            + chunk(b"IEND", b""))
 
 
 def _tick_step(span, target_ticks=8):
@@ -224,12 +257,16 @@ class _Svg:
         self.parts.append(f'<text{t} x="{_f(x)}" y="{_f(y)}" font-family="sans-serif" '
                           f'font-size="{size}" text-anchor="{anchor}" fill="{fill}">{s}</text>')
 
+    def image(self, x, y, w, h, pixels):
+        """`pixels` (see `_png`) stretched over the box, each drawn sharp."""
+        data = binascii.b2a_base64(_png(pixels), newline=False).decode("ascii")
+        self.parts.append(f'<image x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" height="{_f(h)}" '
+                          'preserveAspectRatio="none" image-rendering="pixelated" '
+                          'xmlns:xlink="http://www.w3.org/1999/xlink" '
+                          f'xlink:href="data:image/png;base64,{data}"/>')
+
     def dump(self, fh):
-        # part by part: one joined copy of a heatmap is megabytes
-        for part in self.parts:
-            fh.write(part)
-            fh.write("\n")
-        fh.write("</svg>\n")
+        fh.write("\n".join(self.parts) + "\n</svg>\n")
 
 
 class _Axes:
@@ -331,21 +368,8 @@ def _plot_heatmap(traj):
     ax = _Axes(svg, (0, n_rows), (0, n), left=62, right=90, top=28, bottom=46)
     vmax = float(np.max(np.abs(states)))
     svg.text(ax.l, 18, "field evolution (activation u; threshold at 0)", size=12)
-    cw = ax.w / n_rows
-    chh = ax.h / n
-    xs = [_f(ax.l + t * cw) for t in range(n_rows)]
-    ys = [_f(ax.t + (n - 1 - i) * chh) for i in range(n)]
-    size = f'width="{_f(cw + 0.05)}" height="{_f(chh + 0.05)}"'
-    # one part per time column: the fixed pieces of its n rects, with the
-    # column's x and fills set into their slots, joined once
-    pieces = []
-    for y in ys:
-        pieces += ['<rect x="', None, f'" y="{y}" {size} fill="', None, '"/>\n']
-    pieces[-1] = '"/>'
-    for x, fills in zip(xs, _diverging(states, vmax, _RED, _BLUE)):
-        pieces[1::5] = [x] * n
-        pieces[3::5] = fills.tolist()
-        svg.parts.append("".join(pieces))
+    # one pixel per (step, position): steps run along x, position 0 is the bottom row
+    svg.image(ax.l, ax.t, ax.w, ax.h, _packed(states, vmax, _RED, _BLUE).T[::-1])
     ax.frame("time step", "VOT (ms)")
     ax.xticks(_ticks(0, n_rows - 1, max(1.0, _tick_step(n_rows, 6))))
     ax.yticks(_ticks(0, n, max(1.0, _tick_step(n, 8))))
@@ -438,7 +462,7 @@ def render_plots(data, kind, path):
 def _pieces(out, stem, sweep, kind, trajectories):
     """A run's export as (path, text writer, *its arguments) pieces in write
     order: the sweep's CSV and plot, then for each trajectory its step rows in
-    up to four row ranges (the first with the header), its summary and its
+    up to eight row ranges (the first with the header), its summary and its
     heatmap."""
     pieces = []
     if sweep is not None:
@@ -447,7 +471,7 @@ def _pieces(out, stem, sweep, kind, trajectories):
         pieces.append((out / f"{stem}.svg", _write_plot, sweep, kind))
     for tag, traj in sorted(trajectories.items()):
         path = out / (f"{stem}_traj_{tag}.csv" if tag else f"{stem}.csv")
-        rows = experiments._parts(len(traj), -(-len(traj) // 4))
+        rows = experiments._parts(len(traj), -(-len(traj) // 8))
         pieces += [(path, _write_trajectory_rows, traj, r.start, r.stop) for r in rows]
         pieces += [(_summary_path(path), _write_trajectory_summary, traj),
                    (path.with_suffix(".svg"), _write_plot, traj, "field_evolution_heatmap")]
@@ -467,7 +491,7 @@ def _write_forked(pieces):
     """`_write_here` with a forked child (`experiments._forked`) formatting
     the back half of the pieces by count into a memfd and sending each one's end
     offset through a pipe (8 bytes; it stalls at 8192 unread ends and sends
-    six a trajectory at most). This process writes every file in one pass,
+    ten a trajectory at most). This process writes every file in one pass,
     copying each piece as its end arrives and formatting the rest
     (`_handed_back`): files, bytes and errors are those of one process."""
     k = len(pieces) // 2

@@ -366,8 +366,8 @@ def test_can_fork_switches_the_sweep_and_the_export_together(command, tmp_path, 
     assert (forks, pipes) == ([], [])
 
 
-# simulate writes the header and the first three quarters of the step rows of
-# trajectory.csv here; the child formats the last quarter, the summary and
+# simulate writes the header and the first five eighths of the step rows of
+# trajectory.csv here; the child formats the last three eighths, the summary and
 # trajectory.svg into a memfd and sends where each ends, and this process
 # copies each into its file in write order, so it stops at the first error as
 # one process does
@@ -470,12 +470,12 @@ FIELD_SIZE_2 = {"field": {"field_size": 2, "n_steps": 1},
     (["simulate"], {"field": {"n_steps": 1}}, (2, "trajectory_summary.csv", None)),
     (["simulate"], {"field": {"n_steps": 2}}, (2, "trajectory.csv", 2)),  # 3 rows: the last
     (["simulate"], {"field": {"n_steps": 3}}, (3, "trajectory.csv", 3)),  # 4 rows: the last
-    (["simulate"], None, (3, "trajectory.csv", 90)),  # 121 rows: the last 31 rows on
-    # 10 of 20 pieces: the middle trajectory's last 61 rows on
-    (["replicate", "fig6"], None, (10, "fig6_traj_amp-6.csv", 60)),
-    # 13 of 26 pieces: the second trajectory's heatmap
+    (["simulate"], None, (5, "trajectory.csv", 75)),  # 121 rows: the last 46 rows on
+    # 16 of 32 pieces: the middle trajectory's last 61 rows on
+    (["replicate", "fig6"], None, (16, "fig6_traj_amp-6.csv", 60)),
+    # 21 of 42 pieces: the second trajectory's heatmap
     (["replicate", "conditions"], None,
-     (13, "conditions_bbg2009_traj_no_competitor.svg", None)),
+     (21, "conditions_bbg2009_traj_no_competitor.svg", None)),
     (["simulate"], FIELD_SIZE_2, (2, "trajectory_summary.csv", None)),
     # 7 of 14 pieces: the middle trajectory's second row
     (["replicate", "fig7", "--trials", "1"], FIELD_SIZE_2, (7, "fig7_traj_amp-6.csv", 1)),
@@ -506,8 +506,8 @@ def test_no_cut_leaves_an_empty_side(trajectories, rows, sweep):
     assert 0 < k < len(pieces)  # this process and the child each get a piece
 
 
-# simulate's child formats the last 31 of its 121 step rows (its first piece),
-# the summary and the heatmap; where it stops, this process formats the
+# simulate's child formats the last 46 of its 121 step rows (its first three
+# pieces), the summary and the heatmap; where it stops, this process formats the
 # pieces it did not finish
 @pytest.mark.parametrize("stop", ["first piece", "inside the rows", "heatmap"])
 def test_export_child_that_stops_early_leaves_the_files_of_one_process(stop, tmp_path, capsys,
@@ -545,7 +545,8 @@ def test_export_child_that_stops_early_leaves_the_files_of_one_process(stop, tmp
     assert sorted(os.listdir("/proc/self/fd")) == before
     assert len(forks) == 1
     # the pieces it finished are copied from the memfd
-    assert copies == (["trajectory.csv", "trajectory_summary.csv"] if stop == "heatmap" else [])
+    assert copies == (["trajectory.csv"] * 3 + ["trajectory_summary.csv"] if stop == "heatmap"
+                      else [])
     assert_no_child_left()
     assert stopped[0] == 0 and len(stopped[2]) == 3
     monkeypatch.setattr(experiments, "_can_fork", lambda: False)

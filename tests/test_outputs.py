@@ -1,10 +1,14 @@
 """CSV schemas and deterministic SVG rendering."""
 
+import base64
 import csv
 import math
 import os
 import re
+import struct
 import tracemalloc
+import xml.etree.ElementTree as ET
+import zlib
 
 import numpy as np
 import pytest
@@ -119,7 +123,10 @@ def test_svg_outputs_deterministic_and_wellformed(tiny_sweep, traj, tmp_path):
     h1 = render_plots(traj, "field_evolution_heatmap", tmp_path / "h1.svg").read_bytes()
     h2 = render_plots(traj, "field_evolution_heatmap", tmp_path / "h2.svg").read_bytes()
     assert h1 == h2
-    assert h1.decode().count("<rect") >= 121 * 200
+    text = h1.decode()
+    assert text.count("<rect") == 1 + 40 and text.count("<image") == 1  # background, colorbar
+    for svg in (a, h1):
+        assert ET.fromstring(svg).tag == "{http://www.w3.org/2000/svg}svg"
 
 
 def _reference_fill(v, vmax, pos_color, neg_color):
@@ -145,47 +152,127 @@ def _states_trajectory(states):
                       first_cross_step=None, first_cross_pos=None)
 
 
-def _heatmap_cells(traj, tmp_path):
-    """(x, y, width, height, fill) of every heatmap cell rect, in file
-    order, after checking the background rect and the 40-swatch colorbar."""
-    text = render_plots(traj, "field_evolution_heatmap", tmp_path / "h.svg").read_text()
-    rects = _RECT.findall(text)
-    n_rows, n = traj.states.shape
-    assert len(rects) == 1 + n_rows * n + 40
-    assert rects[0] == ("0", "0", "700", "460", "#ffffff")
+_SVG_NS = "{http://www.w3.org/2000/svg}"
+_XLINK_NS = "{http://www.w3.org/1999/xlink}"
+_PNG_HREF = "data:image/png;base64,"
+
+
+def _png_chunks(png):
+    """(type, data) of each chunk of a PNG file, after checking the signature
+    and every chunk's CRC."""
+    assert png[:8] == b"\x89PNG\r\n\x1a\n"
+    chunks, pos = [], 8
+    while pos < len(png):
+        size, = struct.unpack(">I", png[pos:pos + 4])
+        kind, data = png[pos + 4:pos + 8], png[pos + 8:pos + 8 + size]
+        assert png[pos + 8 + size:pos + 12 + size] == struct.pack(">I", zlib.crc32(kind + data))
+        chunks.append((kind, data))
+        pos += 12 + size
+    return chunks
+
+
+def _stored_blocks(stream):
+    """The deflate blocks of a zlib stream, after checking that each is a
+    stored block (type 00) with its length and the length's complement, that
+    only the last is final, and the adler32 that ends the stream."""
+    assert stream[:2] == b"\x78\x01"  # deflate, 32 KiB window, no dictionary
+    blocks, pos, final = [], 2, 0
+    while not final:
+        final, size, nsize = struct.unpack("<BHH", stream[pos:pos + 5])
+        assert final in (0, 1) and nsize == size ^ 0xffff
+        blocks.append(stream[pos + 5:pos + 5 + size])
+        pos += 5 + size
+    assert stream[pos:] == struct.pack(">I", zlib.adler32(b"".join(blocks)))
+    return blocks
+
+
+def _png_pixels(png):
+    """(height, width, 3) RGB bytes of a PNG as `outputs._png` writes it:
+    8-bit RGB, one IDAT of stored blocks, no row filter."""
+    chunks = _png_chunks(png)
+    assert [kind for kind, _ in chunks] == [b"IHDR", b"IDAT", b"IEND"]
+    width, height, *form = struct.unpack(">IIBBBBB", chunks[0][1])
+    assert form == [8, 2, 0, 0, 0]  # bit depth, RGB, deflate, adaptive filters, no interlace
+    raw = zlib.decompress(chunks[1][1])
+    assert b"".join(_stored_blocks(chunks[1][1])) == raw
+    rows = np.frombuffer(raw, np.uint8).reshape(height, 1 + 3 * width)
+    assert not rows[:, 0].any()  # filter type 0 (None): the bytes are the pixels
+    return rows[:, 1:].reshape(height, width, 3)
+
+
+def test_png_of_a_small_image_is_pinned_byte_for_byte():
+    pixels = np.array([[0xbc2426, 0xffffff, 0x2a4caa], [0x000000, 0x0102fe, 0xde9292]])
+    png = outputs._png(pixels)
+    assert png == bytes.fromhex(
+        "89504e470d0a1a0a"  # signature
+        "0000000d 49484452 00000003 00000002 08 02 00 00 00 1216f14d"  # IHDR: 3 x 2 RGB; CRC
+        "0000001f 49444154 7801"  # IDAT of 31 bytes: the zlib header
+        "01 1400 ebff"  # one stored block, final: 20 bytes, and 20's complement
+        "00 bc2426 ffffff 2a4caa"  # row 0: filter type 0, then the pixels
+        "00 000000 0102fe de9292"  # row 1
+        "55410827 c931813e"  # adler32 of the 20 bytes; IDAT's CRC
+        "00000000 49454e44 ae426082")  # IEND
+    assert _png_pixels(png).tolist() == [[[188, 36, 38], [255, 255, 255], [42, 76, 170]],
+                                         [[0, 0, 0], [1, 2, 254], [222, 146, 146]]]
+
+
+def test_png_round_trips_an_image_of_several_stored_blocks():
+    pixels = np.random.default_rng(5).integers(0, 1 << 24, (200, 121))
+    png = outputs._png(pixels[::-1].T)  # a strided view, as the heatmap passes
+    idat = _png_chunks(png)[1][1]
+    assert [len(b) for b in _stored_blocks(idat)] == [65535, 121 * (1 + 3 * 200) - 65535]
+    rgb = _png_pixels(png).astype(np.int64)
+    assert (rgb[:, :, 0] << 16 | rgb[:, :, 1] << 8 | rgb[:, :, 2] == pixels[::-1].T).all()
+
+
+def _heatmap_fills(svg, traj):
+    """'#rrggbb' of each pixel of the heatmap file `svg` (bytes), indexed
+    [step, position], after checking that the file parses as XML, that it is
+    the reference writer's text around its one PNG image, which has a pixel
+    per (step, position) with position 0 at the bottom, and that the
+    40-swatch colorbar has the scalar reference's fills."""
+    href = ET.fromstring(svg).find(_SVG_NS + "image").get(_XLINK_NS + "href")
+    assert href.startswith(_PNG_HREF)
+    text = svg.decode()
+    assert text == _reference_heatmap(traj, href)
     vmax = float(np.max(np.abs(traj.states)))
     bar = [_reference_fill(vmax * (1 - 2 * k / 39), vmax, _HEAT_RED, _HEAT_BLUE)
            for k in range(40)]
-    assert [r[4] for r in rects[-40:]] == bar
-    return rects[1:-40]
+    assert [r[4] for r in _RECT.findall(text)[1:]] == bar
+    rgb = _png_pixels(base64.b64decode(href[len(_PNG_HREF):], validate=True))
+    n_rows, n = traj.states.shape
+    assert rgb.shape == (n, n_rows, 3)
+    return np.array([["#%02x%02x%02x" % tuple(c) for c in column]
+                     for column in rgb[::-1].transpose(1, 0, 2).tolist()])
 
 
-def _expected_cells(states):
-    # plot box of the 700 x 460 heatmap: left 62, right 90, top 28, bottom 46
-    n_rows, n = states.shape
-    cw, chh = (700 - 62 - 90) / n_rows, (460 - 28 - 46) / n
+def _render_heatmap(traj, tmp_path):
+    return render_plots(traj, "field_evolution_heatmap", tmp_path / "h.svg").read_bytes()
+
+
+def _expected_fills(states):
     vmax = float(np.max(np.abs(states)))
-    return [(f"{62 + t * cw:.2f}", f"{28 + (n - 1 - i) * chh:.2f}", f"{cw + 0.05:.2f}",
-             f"{chh + 0.05:.2f}",
-             _reference_fill(states[t, i], vmax, _HEAT_RED, _HEAT_BLUE))
-            for t in range(n_rows) for i in range(n)]
+    return [[_reference_fill(u, vmax, _HEAT_RED, _HEAT_BLUE) for u in row]
+            for row in states.tolist()]
 
 
 def test_heatmap_cells_match_scalar_reference(traj, tmp_path):
-    assert _heatmap_cells(traj, tmp_path) == _expected_cells(traj.states)
+    fills = _heatmap_fills(_render_heatmap(traj, tmp_path), traj)
+    assert fills.tolist() == _expected_fills(traj.states)
 
 
 @pytest.mark.parametrize("finite", [True, False], ids=["finite", "inf_nan"])
 def test_heatmap_cells_of_awkward_states_match_scalar_reference(finite, tmp_path):
     traj = _states_trajectory(_awkward_states(finite))
-    assert _heatmap_cells(traj, tmp_path) == _expected_cells(traj.states)
+    fills = _heatmap_fills(_render_heatmap(traj, tmp_path), traj)
+    assert fills.tolist() == _expected_fills(traj.states)
 
 
 def test_heatmap_of_all_zero_field_is_white(tmp_path):
-    states = np.zeros((5, 7))
-    cells = _heatmap_cells(_states_trajectory(states), tmp_path)
-    assert cells == _expected_cells(states)
-    assert {c[4] for c in cells} == {"#ffffff"}
+    traj = _states_trajectory(np.zeros((5, 7)))
+    fills = _heatmap_fills(_render_heatmap(traj, tmp_path), traj)
+    assert fills.tolist() == _expected_fills(traj.states)
+    assert set(fills.ravel().tolist()) == {"#ffffff"}
 
 
 def test_heatmap_extremes_and_half_channel_ties(tmp_path):
@@ -194,9 +281,9 @@ def test_heatmap_extremes_and_half_channel_ties(tmp_path):
     states = np.array([[2.0, 1.0, 0.0, -1.0],
                        [-2.0, 0.5, -0.5, 0.0],
                        [3e-9, -3e-9, 1.0, -1.0]])
-    cells = _heatmap_cells(_states_trajectory(states), tmp_path)
-    assert cells == _expected_cells(states)
-    fills = np.array([c[4] for c in cells]).reshape(states.shape)
+    traj = _states_trajectory(states)
+    fills = _heatmap_fills(_render_heatmap(traj, tmp_path), traj)
+    assert fills.tolist() == _expected_fills(states)
     assert fills[0, 0] == "#bc2426" and fills[1, 0] == "#2a4caa"  # +-vmax: full colours
     assert fills[0, 1] == "#de9292" and fills[0, 3] == "#94a6d4"
     assert fills[0, 2] == fills[1, 3] == "#ffffff"
@@ -303,19 +390,18 @@ def _reference_trajectory_csv(traj, path, summary_path):
             writer.writerow((t, repr(float(traj.max_u[t])), int(traj.n_above[t])))
 
 
-def _reference_heatmap(traj, path):
+def _reference_heatmap(traj, href):
+    """The per-value writer that the heatmap renderer replaced, with its cell
+    rects replaced by one image of this `xlink:href`."""
     states = traj.states
     n_rows, n = states.shape
     svg = outputs._Svg(700, 460)
     ax = outputs._Axes(svg, (0, n_rows), (0, n), left=62, right=90, top=28, bottom=46)
     vmax = float(np.max(np.abs(states)))
     svg.text(ax.l, 18, "field evolution (activation u; threshold at 0)", size=12)
-    cw, chh = ax.w / n_rows, ax.h / n
-    fills = outputs._diverging(states, vmax, _HEAT_RED, _HEAT_BLUE)
-    for t in range(n_rows):
-        for i in range(n):
-            svg.rect(ax.l + t * cw, ax.t + (n - 1 - i) * chh, cw + 0.05, chh + 0.05,
-                     fills[t, i])
+    svg.parts.append('<image x="62.00" y="28.00" width="548.00" height="386.00" '
+                     'preserveAspectRatio="none" image-rendering="pixelated" '
+                     f'xmlns:xlink="http://www.w3.org/1999/xlink" xlink:href="{href}"/>')
     ax.frame("time step", "VOT (ms)")
     ax.xticks(outputs._ticks(0, n_rows - 1, max(1.0, outputs._tick_step(n_rows, 6))))
     ax.yticks(outputs._ticks(0, n, max(1.0, outputs._tick_step(n, 8))))
@@ -326,8 +412,7 @@ def _reference_heatmap(traj, path):
     svg.text(cb_x + 18, cb_y + cb_h / 2 + 3, "0", size=9)
     svg.text(cb_x + 18, cb_y + cb_h, f"{-vmax:.1f}", size=9)
     svg.text(cb_x + 7, cb_y - 8, "u", size=10, anchor="middle")
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write("\n".join(svg.parts) + "\n</svg>\n")
+    return "\n".join(svg.parts) + "\n</svg>\n"
 
 
 _AWKWARD = (-0.0, 1e-05, 1e+16, 5e-324, -5.0, math.inf, math.nan)
@@ -354,9 +439,8 @@ def test_exports_keep_the_bytes_of_the_per_value_writers(states, traj, tmp_path)
     _reference_trajectory_csv(traj, tmp_path / "r.csv", tmp_path / "r_summary.csv")
     assert path.read_bytes() == (tmp_path / "r.csv").read_bytes()
     assert spath.read_bytes() == (tmp_path / "r_summary.csv").read_bytes()
-    svg = render_plots(traj, "field_evolution_heatmap", tmp_path / "h.svg")
-    _reference_heatmap(traj, tmp_path / "r.svg")
-    assert svg.read_bytes() == (tmp_path / "r.svg").read_bytes()
+    fills = _heatmap_fills(_render_heatmap(traj, tmp_path), traj)
+    assert fills.tolist() == _expected_fills(traj.states)
 
 
 @pytest.mark.parametrize("finite", [True, False])
@@ -374,18 +458,20 @@ def test_forked_exports_keep_the_bytes_of_the_per_value_writers(finite, tmp_path
     assert len(forks) == 1
     assert [p.name for p in written] == ["t.csv", "t_summary.csv", "t.svg"]
     _reference_trajectory_csv(traj, tmp_path / "r.csv", tmp_path / "r_summary.csv")
-    _reference_heatmap(traj, tmp_path / "r.svg")
-    for name in ("%s.csv", "%s_summary.csv", "%s.svg"):
+    for name in ("%s.csv", "%s_summary.csv"):
         assert (tmp_path / (name % "t")).read_bytes() == (tmp_path / (name % "r")).read_bytes()
+    fills = _heatmap_fills((tmp_path / "t.svg").read_bytes(), traj)
+    assert fills.tolist() == _expected_fills(traj.states)
 
 
 def test_exporting_a_trajectory_holds_under_a_file_of_memory(traj, tmp_path):
-    # One row (CSV) or one time column (heatmap) is formatted at a time, so
-    # the CSV export peaks below its own file size and the heatmap below three
-    # times its file. On the 121 x 200 example the per-value writers peaked at
-    # 0.15 and 3.8 MB, the row/column templates at 0.04 and 2.6 MB, and one
-    # whole-file template and tuple (the heatmap joined into one string) at
-    # 1.8 and 6.9 MB, against files of 0.62 and 1.74 MB.
+    # One row is formatted at a time, so the CSV export peaks below its own
+    # file size: on the 121 x 200 example the per-value writer peaked at 0.15
+    # MB, the row templates at 0.04 MB and one whole-file template and tuple at
+    # 1.8 MB, against a file of 0.62 MB. The heatmap's colour arrays (a few
+    # float64 copies of the states) set its peak, 0.8 MB against a file of
+    # 0.10 MB, so it is bounded in bytes: its per-value rects peaked at 3.8 MB
+    # and its rect columns at 2.5 MB.
     def peak(export):
         tracemalloc.start()
         try:
@@ -397,5 +483,4 @@ def test_exporting_a_trajectory_holds_under_a_file_of_memory(traj, tmp_path):
     csv_peak = peak(lambda: emit_trajectory_csv(traj, tmp_path / "t.csv"))
     svg_peak = peak(lambda: render_plots(traj, "field_evolution_heatmap", tmp_path / "h.svg"))
     csv_files = csv_peak / (tmp_path / "t.csv").stat().st_size
-    svg_files = svg_peak / (tmp_path / "h.svg").stat().st_size
-    assert (csv_files < 1.0, svg_files < 3.0) == (True, True), (csv_files, svg_files)
+    assert (csv_files < 1.0, svg_peak < 1.2e6) == (True, True), (csv_files, svg_peak)

@@ -12,10 +12,11 @@ fresh temporary directory with the relative --out `out`, so the `wrote`
 line is the same from run to run, and the sha256 of every output file, of
 stdout and of stderr, and the exit code, are recorded per run. --write
 stores them in the JSON file; --check compares with it, prints each entry
-that differs and exits 1 if any does. --one-process runs the CLI with
-`experiments._can_fork`, the one switch of the sweep's and the export's
-forks, forced False, so that both stay in one process; its bytes must equal
-the forked runs'.
+that differs, ends with how many differ per name (an output file such as
+`out/trajectory.svg`, or stdout, stderr or exit) and exits 1 if any does.
+--one-process runs the CLI with `experiments._can_fork`, the one switch of
+the sweep's and the export's forks, forced False, so that both stay in one
+process; its bytes must equal the forked runs'.
 """
 
 import argparse
@@ -25,6 +26,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -85,6 +87,8 @@ def main():
     for key in differ:
         print(f"differs: {key}: recorded {want.get(key)}, got {got.get(key)}")
     print(f"{len(RUNS)} runs, {len(got)} entries, {len(differ)} differ")
+    for name, count in sorted(Counter(key.split(" :: ")[1] for key in differ).items()):
+        print(f"{name}: {count}")
     return 1 if differ else 0
 
 
